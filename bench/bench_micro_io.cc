@@ -6,7 +6,8 @@
 // edges; this bench verifies that loading a Table-2-scale dataset no
 // longer dwarfs the solve time. Default scale is a 10M-edge power-law-ish
 // G(n, m) graph (--fast: 1M edges). Thread count for the parallel stages
-// follows RPMIS_THREADS.
+// follows RPMIS_THREADS. Exits 1 if the serial and parallel CSRs differ or
+// the fast edge-list parser is less than 5x faster than the legacy one.
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -163,9 +164,9 @@ int main(int argc, char** argv) {
 
   const double legacy_s = rows[0].second.seconds;
   const double fast_s = rows[1].second.seconds;
+  const bool speedup_ok = legacy_s / fast_s >= 5.0;
   std::printf("\nedge-list speedup (legacy / fast): %.2fx %s\n",
-              legacy_s / fast_s,
-              legacy_s / fast_s >= 5.0 ? "(>= 5x: PASS)" : "(< 5x)");
+              legacy_s / fast_s, speedup_ok ? "(>= 5x: PASS)" : "(< 5x: FAIL)");
 
   // CSR build: serial vs parallel on the same edge multiset, and the
   // determinism contract (byte-identical CSR regardless of thread count).
@@ -176,13 +177,17 @@ int main(int argc, char** argv) {
   ts.Restart();
   Graph parallel = Graph::FromEdgesParallel(g.NumVertices(), edges);
   const double parallel_s = ts.Seconds();
+  const bool csr_ok = SameCsr(serial, parallel);
   std::printf(
       "\nFromEdges (%llu edges): serial %.0fms, parallel %.0fms "
       "(%zu threads), CSR identical: %s\n",
       static_cast<unsigned long long>(edges.size()), serial_s * 1000,
-      parallel_s * 1000, NumThreads(),
-      SameCsr(serial, parallel) ? "yes" : "NO (BUG)");
+      parallel_s * 1000, NumThreads(), csr_ok ? "yes" : "NO (BUG)");
 
   fs::remove_all(dir);
-  return 0;
+  if (!csr_ok) std::fprintf(stderr, "FAIL: serial and parallel CSRs differ\n");
+  if (!speedup_ok) {
+    std::fprintf(stderr, "FAIL: legacy/fast edge-list speedup is below 5x\n");
+  }
+  return csr_ok && speedup_ok ? 0 : 1;
 }

@@ -38,7 +38,7 @@ DynamicMisEngine::DynamicMisEngine(const Graph& g, const DynamicPolicy& policy)
   in_count_.assign(g.NumVertices(), 0);
   seen_.Resize(g.NumVertices());
   sub_id_.assign(g.NumVertices(), kInvalidVertex);
-  RebuildInCounts();
+  RebuildInCounts(g);
 }
 
 UpdateOutcome DynamicMisEngine::Apply(const GraphUpdate& update) {
@@ -357,25 +357,33 @@ void DynamicMisEngine::ForceResolve() {
 
 void DynamicMisEngine::Resolve() {
   obs::TraceSpan span(obs::Trace(), "dynamic.full_resolve");
-  const Graph g = CurrentGraph();
+  Graph g;
+  {
+    obs::TraceSpan snapshot_span(obs::Trace(), "dynamic.resolve.snapshot");
+    g = CurrentGraph();
+  }
 
   MisSolution sol;
   std::vector<uint8_t> peeled;
-  if (policy_.parallel_resolve) {
-    // Parallel component solves cannot share one trace; provenance goes
-    // coarse (everything "exact"), which only shifts eviction tie-breaks.
-    sol = RunLinearTimePerComponent(g, {.parallel = true});
-    peeled.assign(g.NumVertices(), 0);
-  } else {
-    ReductionTrace trace;
-    LinearTimeOptions opt;
-    if (policy_.record_provenance) opt.trace = &trace;
-    sol = RunLinearTime(g, nullptr, opt);
-    peeled = policy_.record_provenance
-                 ? trace.PeeledMask(g.NumVertices())
-                 : std::vector<uint8_t>(g.NumVertices(), 0);
+  {
+    obs::TraceSpan solve_span(obs::Trace(), "dynamic.resolve.solve");
+    if (policy_.parallel_resolve) {
+      // Parallel component solves cannot share one trace; provenance goes
+      // coarse (everything "exact"), which only shifts eviction tie-breaks.
+      sol = RunLinearTimePerComponent(g, {.parallel = true});
+      peeled.assign(g.NumVertices(), 0);
+    } else {
+      ReductionTrace trace;
+      LinearTimeOptions opt;
+      if (policy_.record_provenance) opt.trace = &trace;
+      sol = RunLinearTime(g, nullptr, opt);
+      peeled = policy_.record_provenance
+                   ? trace.PeeledMask(g.NumVertices())
+                   : std::vector<uint8_t>(g.NumVertices(), 0);
+    }
   }
 
+  obs::TraceSpan in_counts_span(obs::Trace(), "dynamic.resolve.in_counts");
   // Dead ids appear isolated in the snapshot, so the solver includes each
   // of them (degree-zero rule) and they inflate both size and the bound
   // by exactly the dead count. Mask them back out.
@@ -392,12 +400,10 @@ void DynamicMisEngine::Resolve() {
   upper_ = sol.size + sol.residual_peeled - dead;
   base_gap_ = upper_ - size_;
   frontier_.clear();
-  RebuildInCounts();
+  RebuildInCounts(g);
 }
 
-Graph DynamicMisEngine::CurrentGraph() const {
-  return Graph::FromEdges(NumVertices(), adj_.CollectAliveEdges());
-}
+Graph DynamicMisEngine::CurrentGraph() const { return adj_.ToGraph(); }
 
 void DynamicMisEngine::GrowUniverse() {
   const Vertex n = adj_.NumVertices();
@@ -409,11 +415,12 @@ void DynamicMisEngine::GrowUniverse() {
   sub_id_.resize(n, kInvalidVertex);
 }
 
-void DynamicMisEngine::RebuildInCounts() {
+void DynamicMisEngine::RebuildInCounts(const Graph& g) {
+  RPMIS_DASSERT(g.NumVertices() == NumVertices());
   std::fill(in_count_.begin(), in_count_.end(), 0);
   for (Vertex v = 0; v < NumVertices(); ++v) {
     if (!in_set_[v]) continue;
-    adj_.ForEachNeighbor(v, [&](Vertex w) { ++in_count_[w]; });
+    for (Vertex w : g.Neighbors(v)) ++in_count_[w];
   }
 }
 

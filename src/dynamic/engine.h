@@ -127,7 +127,8 @@ class DynamicMisEngine {
   uint64_t UpperBound() const { return upper_; }
 
   /// CSR snapshot of the current graph over the full universe [0, n);
-  /// dead vertices appear isolated.
+  /// dead vertices appear isolated. Read straight off the adjacency lists
+  /// (AdjacencyGraph::ToGraph), O(n + m).
   Graph CurrentGraph() const;
 
   /// Full O(n + m) audit of every engine invariant (membership implies
@@ -170,7 +171,8 @@ class DynamicMisEngine {
   void Resolve();
 
   void GrowUniverse();  // sizes per-vertex arrays to adj_.NumVertices()
-  void RebuildInCounts();
+  // Recounts in_count_ from in_set_ over `g`, a CSR snapshot of adj_.
+  void RebuildInCounts(const Graph& g);
 
   DynamicPolicy policy_;
   AdjacencyGraph adj_;

@@ -1,5 +1,6 @@
 #include "graph/adjacency_graph.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace rpmis {
@@ -11,24 +12,41 @@ AdjacencyGraph::AdjacencyGraph(const Graph& g)
       alive_count_(g.NumVertices()),
       alive_edges_(g.NumEdges()),
       scratch_(g.NumVertices()) {
+  const Vertex n = g.NumVertices();
+  RPMIS_ASSERT(2 * g.NumEdges() < kNilHalf);
   half_.resize(2 * g.NumEdges());
-  // Lay out the two halves of each undirected edge consecutively so the
-  // twin of half-edge h is h ^ 1.
-  uint32_t next_half = 0;
-  for (Vertex v = 0; v < g.NumVertices(); ++v) {
-    for (Vertex w : g.Neighbors(v)) {
-      if (v >= w) continue;
-      const uint32_t hv = next_half++;
-      const uint32_t hw = next_half++;
-      half_[hv] = {w, hw, kNilHalf, kNilHalf};
-      half_[hw] = {v, hv, kNilHalf, kNilHalf};
-      PushFront(v, hv);
-      PushFront(w, hw);
-      ++degree_[v];
-      ++degree_[w];
+  // v's halves fill its CSR slice, list order = slot order, neighbours
+  // descending: the slot of the neighbour at ascending index i is
+  // EdgeEnd(v) - 1 - i.
+  for (Vertex v = 0; v < n; ++v) {
+    const uint32_t begin = static_cast<uint32_t>(g.EdgeBegin(v));
+    const uint32_t end = static_cast<uint32_t>(g.EdgeEnd(v));
+    degree_[v] = end - begin;
+    if (begin == end) continue;
+    head_[v] = begin;
+    for (uint32_t h = begin; h < end; ++h) {
+      half_[h] = {g.EdgeTarget(end - 1 - (h - begin)), kNilHalf,
+                  h == begin ? kNilHalf : h - 1, h + 1 == end ? kNilHalf : h + 1};
     }
   }
-  RPMIS_ASSERT(next_half == half_.size());
+  // Twins. Pairs (v, w), v < w, are visited in ascending v, so each w
+  // meets its lower neighbours in ascending order: cursor[w] is the
+  // ascending index of v in N(w). When v's own turn comes, cursor[v] has
+  // passed exactly its lower neighbours, so its upper ones start there.
+  std::vector<uint32_t> cursor(n, 0);
+  for (Vertex v = 0; v < n; ++v) {
+    const auto nb = g.Neighbors(v);
+    const uint32_t end_v = static_cast<uint32_t>(g.EdgeEnd(v));
+    for (uint32_t i = cursor[v]; i < nb.size(); ++i) {
+      const Vertex w = nb[i];
+      RPMIS_DASSERT(w > v);
+      const uint32_t hv = end_v - 1 - i;
+      const uint32_t hw = static_cast<uint32_t>(g.EdgeEnd(w)) - 1 - cursor[w]++;
+      RPMIS_DASSERT(half_[hw].to == v);
+      half_[hv].twin = hw;
+      half_[hw].twin = hv;
+    }
+  }
 }
 
 void AdjacencyGraph::Unlink(Vertex owner, uint32_t h) {
@@ -229,16 +247,26 @@ void AdjacencyGraph::ReviveVertex(Vertex v) {
   ++alive_count_;
 }
 
-std::vector<Edge> AdjacencyGraph::CollectAliveEdges() const {
-  std::vector<Edge> out;
-  out.reserve(alive_edges_);
-  for (Vertex v = 0; v < NumVertices(); ++v) {
-    if (!IsAlive(v)) continue;
+Graph AdjacencyGraph::ToGraph() const {
+  const Vertex n = NumVertices();
+  std::vector<uint64_t> offsets(static_cast<size_t>(n) + 1, 0);
+  for (Vertex v = 0; v < n; ++v) offsets[v + 1] = offsets[v] + degree_[v];
+  std::vector<Vertex> neighbors(offsets[n]);
+  for (Vertex v = 0; v < n; ++v) {
+    uint64_t pos = offsets[v + 1];
+    bool sorted = true;
+    Vertex right = kInvalidVertex;  // the entry just written to the right
     ForEachNeighbor(v, [&](Vertex w) {
-      if (v < w) out.emplace_back(v, w);
+      sorted &= w < right;
+      neighbors[--pos] = w;
+      right = w;
     });
+    RPMIS_DASSERT(pos == offsets[v]);
+    if (!sorted) {
+      std::sort(neighbors.begin() + offsets[v], neighbors.begin() + offsets[v + 1]);
+    }
   }
-  return out;
+  return Graph::FromCsr(std::move(offsets), std::move(neighbors));
 }
 
 }  // namespace rpmis

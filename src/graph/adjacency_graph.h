@@ -8,6 +8,16 @@
 // *grow* a neighbourhood. For the dynamic-update engine (src/dynamic) it
 // additionally supports O(deg) single-edge insertion/deletion over a
 // free-list of dead half-edge slots, and vertex-universe growth.
+//
+// Layout. The constructor (and Compact) place each vertex's half-edges
+// contiguously, in list order: v's halves fill v's CSR slice
+// [EdgeBegin(v), EdgeEnd(v)) with next = h + 1 and prev = h - 1, so a list
+// walk is a sequential scan until mutations relink it. Twins are explicit
+// indices found by a cursor pass; no index arithmetic relates a half to its
+// twin. A fresh list holds the neighbours in DESCENDING id order, and
+// every mutation keeps the semantics of a push-front linked list, so the
+// iteration order -- and hence every consumer's choices -- depends only on
+// the operation sequence, never on which pool slots were reused.
 #ifndef RPMIS_GRAPH_ADJACENCY_GRAPH_H_
 #define RPMIS_GRAPH_ADJACENCY_GRAPH_H_
 
@@ -45,6 +55,20 @@ class AdjacencyGraph {
     for (uint32_t h = head_[v]; h != kNilHalf; h = half_[h].next) fn(half_[h].to);
   }
 
+  /// Calls `fn(h, w)` for every half-edge h of v's list and its target w
+  /// (layout tests and audits; h indexes the half-edge pool).
+  template <typename Fn>
+  void ForEachHalf(Vertex v, Fn fn) const {
+    for (uint32_t h = head_[v]; h != kNilHalf; h = half_[h].next) fn(h, half_[h].to);
+  }
+
+  /// The opposite half of half-edge h.
+  uint32_t Twin(uint32_t h) const { return half_[h].twin; }
+
+  /// Size of the half-edge pool, dead (recyclable) slots included. Equals
+  /// 2 * NumAliveEdges() right after construction or Compact.
+  uint64_t HalfPoolSize() const { return half_.size(); }
+
   /// Collects the current neighbours of v into a vector (test/debug aid).
   std::vector<Vertex> NeighborsOf(Vertex v) const;
 
@@ -77,14 +101,19 @@ class AdjacencyGraph {
   /// alive vertices.
   void ReviveVertex(Vertex v);
 
-  /// Snapshot of the remaining graph as an edge list over original ids.
-  std::vector<Edge> CollectAliveEdges() const;
+  /// CSR snapshot of the remaining graph over the full universe [0, n);
+  /// dead vertices appear isolated. Walks each list into its slice back to
+  /// front, so a list still in descending order lands sorted; only slices
+  /// that insertions or contractions left out of order are sorted. O(n + m)
+  /// plus the sorting of those slices.
+  Graph ToGraph() const;
 
   /// Rebuilds the structure over the renamed universe [0, new_n): vertices
   /// mapping to kInvalidVertex are dropped (they must be dead or isolated,
   /// so no surviving half-edge references them), the half-edge pool shrinks
-  /// to the alive edges, and every kept vertex's neighbour ORDER is
-  /// preserved — iteration behaves exactly as before the rebuild.
+  /// to the alive edges laid out contiguously per vertex again, and every
+  /// kept vertex's neighbour ORDER is preserved — iteration behaves exactly
+  /// as before the rebuild.
   void Compact(Vertex new_n, std::span<const Vertex> to_new);
 
  private:

@@ -111,7 +111,7 @@ MisSolution RunBDTwo(const Graph& g, const BDTwoOptions& options) {
     RPMIS_DASSERT(new_n == queue.Size());
     ++sol.compaction.compactions;
     sol.compaction.vertices_scanned += cur_n;
-    sol.compaction.slots_scanned += 2 * dyn.NumAliveEdges();
+    sol.compaction.slots_scanned += dyn.HalfPoolSize();
     sol.compaction.vertices_kept += new_n;
     sol.compaction.slots_kept += 2 * dyn.NumAliveEdges();
     dyn.Compact(new_n, ren.to_new);

@@ -21,10 +21,11 @@ TEST(AdjacencyGraphTest, MirrorsInitialGraph) {
   AdjacencyGraph dyn(g);
   EXPECT_EQ(dyn.NumAliveVertices(), g.NumVertices());
   EXPECT_EQ(dyn.NumAliveEdges(), g.NumEdges());
+  // Fresh lists hold the neighbours in descending id order.
   for (Vertex v = 0; v < g.NumVertices(); ++v) {
     EXPECT_EQ(dyn.Degree(v), g.Degree(v));
     auto nb = g.Neighbors(v);
-    EXPECT_EQ(NeighborSet(dyn, v), std::set<Vertex>(nb.begin(), nb.end()));
+    EXPECT_EQ(dyn.NeighborsOf(v), std::vector<Vertex>(nb.rbegin(), nb.rend()));
   }
 }
 
@@ -196,8 +197,9 @@ TEST(AdjacencyGraphTest, AddVertexGrowsUniverse) {
 }
 
 // Randomized model check over the full mutation vocabulary: removals,
-// contractions, edge inserts/deletes, and vertex additions against a
-// set-based reference model.
+// contractions, edge inserts/deletes, vertex additions and revivals
+// against a set-based reference model. After every step ToGraph() must
+// equal the CSR that Graph::FromEdges builds from the model's edges.
 TEST(AdjacencyGraphTest, RandomMutationsMatchReferenceModel) {
   Graph g = ErdosRenyiGnm(40, 80, /*seed=*/7);
   AdjacencyGraph dyn(g);
@@ -213,7 +215,7 @@ TEST(AdjacencyGraphTest, RandomMutationsMatchReferenceModel) {
     const Vertex a = static_cast<Vertex>(rng.NextBounded(n));
     Vertex b = a;
     while (b == a) b = static_cast<Vertex>(rng.NextBounded(n));
-    switch (rng.NextBounded(5)) {
+    switch (rng.NextBounded(6)) {
       case 0: {  // insert edge (revives dead endpoints)
         const bool fresh = model[a].insert(b).second;
         model[b].insert(a);
@@ -258,30 +260,68 @@ TEST(AdjacencyGraphTest, RandomMutationsMatchReferenceModel) {
         model[b].erase(a);
         break;
       }
+      case 5:  // revive (no-op on an alive vertex)
+        dyn.ReviveVertex(a);
+        alive[a] = 1;
+        break;
     }
     ASSERT_EQ(dyn.NumVertices(), model.size());
-    uint64_t model_edges = 0;
+    std::vector<Edge> model_edges;
     for (Vertex v = 0; v < model.size(); ++v) {
       ASSERT_EQ(dyn.IsAlive(v), alive[v] != 0) << "vertex " << v;
       if (!alive[v]) continue;
       ASSERT_EQ(dyn.Degree(v), model[v].size()) << "vertex " << v;
       ASSERT_EQ(NeighborSet(dyn, v), model[v]) << "vertex " << v;
-      model_edges += model[v].size();
+      for (Vertex w : model[v]) {
+        if (v < w) model_edges.emplace_back(v, w);
+      }
     }
-    ASSERT_EQ(dyn.NumAliveEdges(), model_edges / 2);
+    ASSERT_EQ(dyn.NumAliveEdges(), model_edges.size());
+    const Graph expect = Graph::FromEdges(static_cast<Vertex>(model.size()), model_edges);
+    const Graph snap = dyn.ToGraph();
+    ASSERT_TRUE(std::ranges::equal(snap.RawOffsets(), expect.RawOffsets()))
+        << "step " << step;
+    ASSERT_TRUE(std::ranges::equal(snap.RawNeighbors(), expect.RawNeighbors()))
+        << "step " << step;
   }
 }
 
-TEST(AdjacencyGraphTest, CollectAliveEdges) {
+// Each vertex's halves fill its CSR slice in list order, and twins pair
+// the two slices of an edge.
+TEST(AdjacencyGraphTest, HalvesFillOwnerSlicesWithExplicitTwins) {
+  Graph g = ErdosRenyiGnm(80, 300, /*seed=*/5);
+  AdjacencyGraph dyn(g);
+  EXPECT_EQ(dyn.HalfPoolSize(), 2 * g.NumEdges());
+  std::vector<Vertex> owner(dyn.HalfPoolSize(), kInvalidVertex);
+  std::vector<Vertex> target(dyn.HalfPoolSize(), kInvalidVertex);
+  for (Vertex v = 0; v < g.NumVertices(); ++v) {
+    uint64_t expect = g.EdgeBegin(v);
+    dyn.ForEachHalf(v, [&](uint32_t h, Vertex w) {
+      EXPECT_EQ(h, expect++) << "vertex " << v;
+      owner[h] = v;
+      target[h] = w;
+    });
+    EXPECT_EQ(expect, g.EdgeEnd(v));
+  }
+  for (uint32_t h = 0; h < dyn.HalfPoolSize(); ++h) {
+    const uint32_t t = dyn.Twin(h);
+    ASSERT_LT(t, dyn.HalfPoolSize());
+    EXPECT_NE(t, h);
+    EXPECT_EQ(dyn.Twin(t), h);
+    EXPECT_EQ(owner[t], target[h]);
+    EXPECT_EQ(target[t], owner[h]);
+  }
+}
+
+TEST(AdjacencyGraphTest, ToGraphDropsRemovedVertex) {
   Graph g = CycleGraph(5);
   AdjacencyGraph dyn(g);
   dyn.RemoveVertex(0, nullptr);
-  auto edges = dyn.CollectAliveEdges();
-  EXPECT_EQ(edges.size(), 3u);
-  for (const auto& [u, v] : edges) {
-    EXPECT_NE(u, 0u);
-    EXPECT_NE(v, 0u);
-  }
+  const Graph snap = dyn.ToGraph();
+  EXPECT_EQ(snap.NumVertices(), 5u);
+  EXPECT_EQ(snap.NumEdges(), 3u);
+  EXPECT_EQ(snap.Degree(0), 0u);
+  EXPECT_EQ(snap.CollectEdges(), (std::vector<Edge>{{1, 2}, {2, 3}, {3, 4}}));
 }
 
 }  // namespace

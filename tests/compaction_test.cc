@@ -447,6 +447,19 @@ TEST(CompactionWork, TotalRebuildWorkIsLinear) {
   EXPECT_LT(sol.compaction.vertices_kept, sol.compaction.vertices_scanned);
 }
 
+// BDTwo's rebuild walks the whole half-edge pool, dead slots included, so
+// after deletions it scans more slots than it keeps.
+TEST(CompactionWork, BDTwoKeptRatioBelowOneAfterDeletions) {
+  const Graph g = ErdosRenyiGnm(20000, 60000, 41);
+  BDTwoOptions opts;
+  opts.compaction.threshold = 0.5;
+  opts.compaction.min_vertices = 1;
+  const MisSolution sol = RunBDTwo(g, opts);
+  ASSERT_GE(sol.compaction.compactions, 1u);
+  EXPECT_LT(sol.compaction.slots_kept, sol.compaction.slots_scanned);
+  EXPECT_LE(sol.compaction.slots_scanned, 4u * 2u * g.NumEdges());
+}
+
 // Aggressive-threshold smoke across every consumer on one graph: catches
 // mapping bugs in seconds without the 10M-edge bench.
 TEST(CompactionWork, AggressiveSmokeAllAlgorithms) {
