@@ -1,5 +1,5 @@
 // Compaction micro-benchmark: NearLinear end-to-end with the mid-run
-// compaction engine (default) versus the `--no-compaction` escape hatch,
+// compaction engine (default) versus compaction disabled,
 // on a Chung–Lu power-law graph (default ≥10M edges; --fast: ~2M).
 //
 // Both sides must produce byte-identical solutions — the bench exits

@@ -6,8 +6,7 @@
 //           [--algo=greedy|du|semie|bdone|bdtwo|lineartime|nearlinear|
 //                   arw-lt|arw-nl|exact]
 //           [--time=SECONDS] [--cover] [--out=solution.txt] [--per-component]
-//           [--stats] [--no-compaction] [--compaction-threshold=F]
-//           [--verify] [--updates=FILE]
+//           [--stats] [--verify] [--updates=FILE]
 //           [--trace=FILE] [--metrics=FILE] [--progress[=K]] [--records=FILE]
 //
 // The solution file lists one selected vertex id per line (original file
@@ -66,12 +65,9 @@ int Usage() {
          "               [--per-component]   (bdone/bdtwo/lineartime/nearlinear:\n"
          "                solve connected components independently, in parallel\n"
          "                across RPMIS_THREADS workers)\n"
-         "               [--stats]           (print per-run reduction/compaction\n"
-         "                counters; bdone/bdtwo/lineartime/nearlinear only)\n"
-         "               [--no-compaction] [--compaction-threshold=F]\n"
-         "                (mid-run alive-subgraph rebuilds; F in (0,1], rebuild\n"
-         "                when active < F * last build, default 0.5; the\n"
-         "                solution is identical either way)\n"
+         "               [--stats]           (print per-run reduction counters;\n"
+         "                bdone/bdtwo/lineartime/nearlinear only, plus\n"
+         "                nearlinear's mid-run compaction counters)\n"
          "               [--verify]          (re-check the output set is\n"
          "                independent and maximal, with a reason on failure)\n"
          "               [--updates=FILE]    (dynamic mode: solve with\n"
@@ -186,14 +182,6 @@ int main(int argc, char** argv) {
   const bool per_component = HasOption(argc, argv, "--per-component");
   const bool want_stats = HasOption(argc, argv, "--stats");
   const PerComponentOptions cc_opts{.parallel = true};
-  CompactionOptions compaction;
-  compaction.enabled = !HasOption(argc, argv, "--no-compaction");
-  compaction.threshold =
-      std::stod(OptionValue(argc, argv, "--compaction-threshold", "0.5"));
-  if (!(compaction.threshold > 0.0 && compaction.threshold <= 1.0)) {
-    std::cerr << "--compaction-threshold must be in (0, 1]\n";
-    return 2;
-  }
 
   // Owns the observability sinks (--trace/--metrics/--progress/--records)
   // for the whole invocation; the trace also covers the graph load below.
@@ -252,23 +240,15 @@ int main(int argc, char** argv) {
   } else if (algo == "semie") {
     in_set = RunSemiE(g).in_set;
   } else if (algo == "bdone") {
-    BDOneOptions opt{.compaction = compaction};
-    take(per_component ? RunBDOnePerComponent(g, cc_opts, opt)
-                       : RunBDOne(g, nullptr, opt));
+    take(per_component ? RunBDOnePerComponent(g, cc_opts) : RunBDOne(g));
   } else if (algo == "bdtwo") {
-    BDTwoOptions opt{.compaction = compaction};
-    take(per_component ? RunBDTwoPerComponent(g, cc_opts, opt)
-                       : RunBDTwo(g, opt));
+    take(per_component ? RunBDTwoPerComponent(g, cc_opts) : RunBDTwo(g));
   } else if (algo == "lineartime") {
-    LinearTimeOptions opt{.compaction = compaction};
-    take(per_component ? RunLinearTimePerComponent(g, cc_opts, opt)
-                       : RunLinearTime(g, nullptr, opt));
+    take(per_component ? RunLinearTimePerComponent(g, cc_opts)
+                       : RunLinearTime(g));
   } else if (algo == "nearlinear") {
-    NearLinearOptions opt;
-    opt.compaction = compaction;
-    MisSolution sol = per_component
-                          ? RunNearLinearPerComponent(g, cc_opts, opt)
-                          : RunNearLinear(g, nullptr, opt);
+    MisSolution sol = per_component ? RunNearLinearPerComponent(g, cc_opts)
+                                    : RunNearLinear(g);
     if (sol.provably_maximum) certificate = "certified maximum (Theorem 6.1)";
     take(std::move(sol));
   } else if (algo == "arw-lt" || algo == "arw-nl") {

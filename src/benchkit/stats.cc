@@ -36,15 +36,15 @@ std::string FormatSolverStats(const MisSolution& sol) {
   AddRule(out, "twin", sol.rules.twin);
   AddRule(out, "unconfined", sol.rules.unconfined);
   AddRule(out, "peels (inexact)", sol.rules.peels);
+  // Only NearLinear's core rebuilds mid-run; the line appears when it did.
   const CompactionStats& c = sol.compaction;
-  out << "compaction: " << FormatCount(c.compactions) << " rebuilds";
   if (c.compactions > 0) {
-    out << "; scanned " << FormatCount(c.vertices_scanned) << " vertices / "
+    out << "compaction: " << FormatCount(c.compactions) << " rebuilds; scanned "
+        << FormatCount(c.vertices_scanned) << " vertices / "
         << FormatCount(c.slots_scanned) << " slots; kept "
         << FormatCount(c.vertices_kept) << " vertices / "
-        << FormatCount(c.slots_kept) << " slots";
+        << FormatCount(c.slots_kept) << " slots\n";
   }
-  out << "\n";
   return out.str();
 }
 

@@ -11,9 +11,10 @@
 namespace rpmis {
 
 /// Multi-line report of a solution's instrumentation: reduction-rule
-/// application counts, peeling/kernel figures, and the compaction
-/// counters (events, vertices/edge-slots scanned and kept). Zero-valued
-/// rule counters are omitted so small runs stay readable.
+/// application counts, peeling/kernel figures, and — when NearLinear's
+/// core rebuilt its kernel mid-run — the compaction counters (events,
+/// vertices/edge-slots scanned and kept). Zero-valued rule counters are
+/// omitted so small runs stay readable.
 std::string FormatSolverStats(const MisSolution& sol);
 
 /// Publishes a solution's instrumentation — rule counters, peel/kernel

@@ -95,43 +95,6 @@ Vertex BucketQueue::PopMax() {
   return v;
 }
 
-void BucketQueue::Compact(Vertex new_n, std::span<const Vertex> to_new,
-                          uint32_t new_max_key) {
-  std::vector<Vertex> new_head(static_cast<size_t>(new_max_key) + 1, kNil);
-  std::vector<Vertex> new_prev(new_n, kNil);
-  std::vector<Vertex> new_next(new_n, kNil);
-  std::vector<uint32_t> new_key(new_n, 0);
-  std::vector<uint8_t> new_in_queue(new_n, 0);
-  if (size_ > 0) {
-    // All entries sit in [min_bound_, max_bound_] (the bounds bracket the
-    // true extremes by the Insert/Update invariants).
-    for (uint32_t k = min_bound_; k <= max_bound_; ++k) {
-      Vertex tail = kNil;
-      for (Vertex v = bucket_head_[k]; v != kNil; v = next_[v]) {
-        const Vertex nv = to_new[v];
-        RPMIS_ASSERT_MSG(nv != kInvalidVertex && k <= new_max_key,
-                         "queue entry dropped by compaction");
-        if (tail == kNil) {
-          new_head[k] = nv;
-        } else {
-          new_next[tail] = nv;
-        }
-        new_prev[nv] = tail;
-        new_key[nv] = k;
-        new_in_queue[nv] = 1;
-        tail = nv;
-      }
-    }
-  }
-  bucket_head_ = std::move(new_head);
-  prev_ = std::move(new_prev);
-  next_ = std::move(new_next);
-  key_ = std::move(new_key);
-  in_queue_ = std::move(new_in_queue);
-  min_bound_ = std::min(min_bound_, new_max_key);
-  max_bound_ = std::min(max_bound_, new_max_key);
-}
-
 LazyMaxBucketQueue::LazyMaxBucketQueue(std::span<const uint32_t> keys)
     : next_(keys.size(), kInvalidVertex), max_bound_(0) {
   uint32_t max_key = 0;

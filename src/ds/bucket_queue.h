@@ -6,7 +6,8 @@
 //  * BucketQueue        — doubly-linked, eagerly updated; supports PopMin
 //                         and PopMax even when keys *increase* (BDTwo's
 //                         contractions can grow degrees), plus arbitrary
-//                         Remove. Used by BDTwo, DU and SemiE.
+//                         Remove. Used by BDTwo, DU and the core
+//                         decomposition.
 //  * LazyMaxBucketQueue — the paper's optimized variant: singly-linked
 //                         (2n space), entries carry a possibly stale key
 //                         and are sifted down lazily at pop time. Valid
@@ -53,13 +54,6 @@ class BucketQueue {
   /// The queue must be non-empty.
   Vertex PopMin();
   Vertex PopMax();
-
-  /// Rebuilds the queue over the renamed universe [0, new_n) with key
-  /// range [0, new_max_key]. Every contained vertex must survive the
-  /// renaming with its key <= new_max_key. Bucket-internal order is
-  /// preserved exactly, so the pop sequence is unchanged.
-  void Compact(Vertex new_n, std::span<const Vertex> to_new,
-               uint32_t new_max_key);
 
   /// Current minimum / maximum key (queue must be non-empty).
   uint32_t MinKey();
@@ -126,7 +120,8 @@ class LazyMaxBucketQueue {
   /// entries a later PopMax would have skipped as dead. Surviving entries
   /// keep their bucket (stale entries stay stale) and their position, so
   /// the pop sequence is unchanged. Keys only decrease, so the bucket
-  /// array also shrinks to the settled upper bound.
+  /// array also shrinks to the settled upper bound. Used by NearLinear's
+  /// mid-run compaction (mis/compaction.h).
   void Compact(Vertex new_n, std::span<const Vertex> to_new);
 
  private:

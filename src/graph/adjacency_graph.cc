@@ -140,50 +140,6 @@ void AdjacencyGraph::ContractInto(Vertex v, Vertex w, std::vector<Vertex>* touch
   if (touched != nullptr) touched->push_back(w);
 }
 
-void AdjacencyGraph::Compact(Vertex new_n, std::span<const Vertex> to_new) {
-  std::vector<HalfEdge> new_half;
-  new_half.reserve(2 * alive_edges_);
-  std::vector<uint32_t> new_id(half_.size(), kNilHalf);
-  std::vector<uint32_t> new_head(new_n, kNilHalf);
-  std::vector<uint32_t> new_degree(new_n, 0);
-  for (Vertex v = 0; v < NumVertices(); ++v) {
-    const Vertex nv = to_new[v];
-    if (nv == kInvalidVertex) {
-      RPMIS_DASSERT(!IsAlive(v) || degree_[v] == 0);
-      continue;
-    }
-    RPMIS_DASSERT(IsAlive(v));
-    uint32_t tail = kNilHalf;
-    for (uint32_t h = head_[v]; h != kNilHalf; h = half_[h].next) {
-      const uint32_t nh = static_cast<uint32_t>(new_half.size());
-      new_id[h] = nh;
-      const Vertex target = to_new[half_[h].to];
-      RPMIS_DASSERT(target != kInvalidVertex);
-      // The twin still holds the OLD half-edge id; re-linked below once
-      // every surviving half has its new id.
-      new_half.push_back({target, half_[h].twin, tail, kNilHalf});
-      if (tail == kNilHalf) {
-        new_head[nv] = nh;
-      } else {
-        new_half[tail].next = nh;
-      }
-      tail = nh;
-    }
-    new_degree[nv] = degree_[v];
-  }
-  for (HalfEdge& e : new_half) {
-    RPMIS_DASSERT(new_id[e.twin] != kNilHalf);
-    e.twin = new_id[e.twin];
-  }
-  half_ = std::move(new_half);
-  head_ = std::move(new_head);
-  degree_ = std::move(new_degree);
-  alive_.assign(new_n, 1);
-  alive_count_ = new_n;
-  free_halves_.clear();  // the rebuilt pool holds exactly the alive halves
-  scratch_.Resize(new_n);
-}
-
 uint32_t AdjacencyGraph::AllocHalf() {
   if (!free_halves_.empty()) {
     const uint32_t h = free_halves_.back();

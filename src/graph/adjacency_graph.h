@@ -9,7 +9,7 @@
 // additionally supports O(deg) single-edge insertion/deletion over a
 // free-list of dead half-edge slots, and vertex-universe growth.
 //
-// Layout. The constructor (and Compact) place each vertex's half-edges
+// Layout. The constructor places each vertex's half-edges
 // contiguously, in list order: v's halves fill v's CSR slice
 // [EdgeBegin(v), EdgeEnd(v)) with next = h + 1 and prev = h - 1, so a list
 // walk is a sequential scan until mutations relink it. Twins are explicit
@@ -66,7 +66,7 @@ class AdjacencyGraph {
   uint32_t Twin(uint32_t h) const { return half_[h].twin; }
 
   /// Size of the half-edge pool, dead (recyclable) slots included. Equals
-  /// 2 * NumAliveEdges() right after construction or Compact.
+  /// 2 * NumAliveEdges() right after construction.
   uint64_t HalfPoolSize() const { return half_.size(); }
 
   /// Collects the current neighbours of v into a vector (test/debug aid).
@@ -107,14 +107,6 @@ class AdjacencyGraph {
   /// that insertions or contractions left out of order are sorted. O(n + m)
   /// plus the sorting of those slices.
   Graph ToGraph() const;
-
-  /// Rebuilds the structure over the renamed universe [0, new_n): vertices
-  /// mapping to kInvalidVertex are dropped (they must be dead or isolated,
-  /// so no surviving half-edge references them), the half-edge pool shrinks
-  /// to the alive edges laid out contiguously per vertex again, and every
-  /// kept vertex's neighbour ORDER is preserved — iteration behaves exactly
-  /// as before the rebuild.
-  void Compact(Vertex new_n, std::span<const Vertex> to_new);
 
  private:
   static constexpr uint32_t kNilHalf = static_cast<uint32_t>(-1);

@@ -98,9 +98,9 @@ class Graph {
                               : 2.0 * static_cast<double>(NumEdges()) / NumVertices();
   }
 
-  /// The raw CSR arrays (n + 1 offsets, 2m flat neighbour entries). For
-  /// solvers that maintain a compacted working copy of the adjacency
-  /// (mis/compaction.h) and start with a zero-copy view of the input.
+  /// The raw CSR arrays (n + 1 offsets, 2m flat neighbour entries), for
+  /// solvers that scan the input adjacency directly or copy it as their
+  /// working graph.
   std::span<const uint64_t> RawOffsets() const { return offsets_; }
   std::span<const Vertex> RawNeighbors() const { return neighbors_; }
 

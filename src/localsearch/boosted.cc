@@ -19,15 +19,8 @@ BoostedResult RunBoostedArw(const Graph& g, BoostKind kind,
   KernelSnapshot snap;
   {
     obs::TraceSpan span(obs::Trace(), "boosted.kernelize");
-    if (kind == BoostKind::kLinearTime) {
-      LinearTimeOptions lt;
-      lt.compaction = options.compaction;
-      out.base = RunLinearTime(g, &snap, lt);
-    } else {
-      NearLinearOptions nl;
-      nl.compaction = options.compaction;
-      out.base = RunNearLinear(g, &snap, nl);
-    }
+    out.base = kind == BoostKind::kLinearTime ? RunLinearTime(g, &snap)
+                                              : RunNearLinear(g, &snap);
   }
   RPMIS_ASSERT(snap.captured);
   const Graph& kernel = snap.kernel;

@@ -12,7 +12,6 @@
 
 #include "graph/graph.h"
 #include "localsearch/arw.h"
-#include "mis/compaction.h"
 #include "mis/solution.h"
 
 namespace rpmis {
@@ -25,10 +24,6 @@ enum class BoostKind {
 struct BoostedOptions {
   double time_limit_seconds = 1.0;
   uint64_t seed = 31337;
-  // Forwarded to the underlying kernelizing run; the kernel snapshot ARW
-  // iterates on is then extracted from the compacted working graph, so the
-  // local search never touches dead slots of the original graph.
-  CompactionOptions compaction;
 };
 
 struct BoostedResult {

@@ -1,9 +1,6 @@
 #include "mis/bdone.h"
 
-#include <numeric>
-
 #include "ds/bucket_queue.h"
-#include "mis/compaction.h"
 #include "mis/kernel_capture.h"
 #include "obs/obs.h"
 #include "obs/progress.h"
@@ -11,30 +8,19 @@
 
 namespace rpmis {
 
-MisSolution RunBDOne(const Graph& g, KernelSnapshot* capture,
-                     const BDOneOptions& options) {
+MisSolution RunBDOne(const Graph& g, KernelSnapshot* capture) {
   obs::TraceSpan algo_span(obs::Trace(), "bdone");
   const Vertex n = g.NumVertices();
   MisSolution sol;
   sol.in_set.assign(n, 0);
   uint64_t in_count = 0;  // running |I| for progress samples
 
-  // Working CSR over the CURRENT vertex universe. Starts as a zero-copy
-  // view of the input; after a compaction it views the owned rebuilt copy
-  // (double-buffered so a rebuild can read its predecessor).
-  std::span<const uint64_t> offsets = g.RawOffsets();
-  std::span<const Vertex> adj = g.RawNeighbors();
-  std::vector<uint64_t> own_offsets[2];
-  std::vector<Vertex> own_adj[2];
-  int buffer = 0;
-
-  // Current id -> input id (identity until the first compaction). Decisions
-  // (in_set, peeled) are always recorded in input ids.
-  std::vector<Vertex> to_orig(n);
-  std::iota(to_orig.begin(), to_orig.end(), Vertex{0});
+  // BDOne never rewires edges, so it scans the input CSR as a plain view.
+  const std::span<const uint64_t> offsets = g.RawOffsets();
+  const std::span<const Vertex> adj = g.RawNeighbors();
 
   std::vector<uint8_t> alive(n, 1);
-  std::vector<uint8_t> peeled(n, 0);  // input-id space
+  std::vector<uint8_t> peeled(n, 0);
   std::vector<uint32_t> deg(n);
   std::vector<Vertex> v1;  // degree-one worklist (may hold stale entries)
   Vertex active = 0;       // # vertices with alive && deg > 0
@@ -50,7 +36,6 @@ MisSolution RunBDOne(const Graph& g, KernelSnapshot* capture,
     }
   }
   LazyMaxBucketQueue peel_queue(deg);
-  CompactionPolicy policy(options.compaction, n);
 
   // Removes v from the graph: neighbours lose a degree; a neighbour
   // reaching degree 0 joins I (it is now isolated, hence safe to take).
@@ -64,71 +49,32 @@ MisSolution RunBDOne(const Graph& g, KernelSnapshot* capture,
       if (--deg[w] == 1) {
         v1.push_back(w);
       } else if (deg[w] == 0) {
-        sol.in_set[to_orig[w]] = 1;
+        sol.in_set[w] = 1;
         ++in_count;
         --active;
       }
     }
   };
 
-  // Rebuilds every per-vertex structure over the alive, still-undecided
-  // subgraph. Renaming is monotone and slot order is preserved, so every
-  // later scan sees the same neighbour sequence as without compaction and
-  // the output is byte-identical.
-  auto compact = [&]() {
-    obs::TraceSpan span(obs::Trace(), "bdone.compact");
-    const Vertex cur_n = static_cast<Vertex>(to_orig.size());
-    std::vector<uint8_t> keep(cur_n);
-    for (Vertex v = 0; v < cur_n; ++v) keep[v] = alive[v] && deg[v] > 0;
-    VertexRenaming ren = BuildRenaming(keep);
-    const Vertex new_n = static_cast<Vertex>(ren.kept.size());
-    RPMIS_DASSERT(new_n == active);
-    const int nb = buffer ^ 1;
-    CompactCsr(ren, offsets, adj, &own_offsets[nb], &own_adj[nb],
-               /*old_slot_to_new=*/nullptr, &sol.compaction);
-    offsets = own_offsets[nb];
-    adj = own_adj[nb];
-    buffer = nb;
-    std::vector<uint32_t> new_deg(new_n);
-    for (Vertex i = 0; i < new_n; ++i) new_deg[i] = deg[ren.kept[i]];
-    deg = std::move(new_deg);
-    alive.assign(new_n, 1);
-    ComposeToOrig(ren, &to_orig);
-    RemapWorklist(ren, &v1);
-    peel_queue.Compact(new_n, ren.to_new);
-    policy.NoteRebuild(new_n);
-  };
-
-  // Snapshots the alive part of the graph (in input ids). BDOne never
-  // rewires edges, so an edge survives iff both endpoints are alive (with
-  // positive degree; edgeless alive vertices are already decided).
+  // Snapshots the alive part of the graph. An edge survives iff both
+  // endpoints are alive (with positive degree; edgeless alive vertices are
+  // already decided).
   auto capture_now = [&]() {
-    std::vector<uint8_t> alive_o(n, 0);
-    std::vector<uint32_t> deg_o(n, 0);
-    const Vertex cur_n = static_cast<Vertex>(to_orig.size());
-    for (Vertex v = 0; v < cur_n; ++v) {
-      alive_o[to_orig[v]] = alive[v];
-      deg_o[to_orig[v]] = deg[v];
-    }
     std::vector<Edge> edges;
-    for (Vertex v = 0; v < cur_n; ++v) {
+    for (Vertex v = 0; v < n; ++v) {
       if (!alive[v] || deg[v] == 0) continue;
       for (uint64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
         const Vertex w = adj[e];
-        if (v < w && alive[w] && deg[w] > 0) {
-          edges.emplace_back(to_orig[v], to_orig[w]);
-        }
+        if (v < w && alive[w] && deg[w] > 0) edges.emplace_back(v, w);
       }
     }
-    internal::BuildKernelSnapshot(alive_o, deg_o, sol.in_set, edges, {},
-                                  capture);
+    internal::BuildKernelSnapshot(alive, deg, sol.in_set, edges, {}, capture);
   };
 
   // Progress snapshot: O(live) edge recount, amortized by the stride.
   auto sample_progress = [&](obs::ProgressSampler* ps) {
-    const Vertex cur_n = static_cast<Vertex>(to_orig.size());
     uint64_t deg_sum = 0;
-    for (Vertex x = 0; x < cur_n; ++x) {
+    for (Vertex x = 0; x < n; ++x) {
       if (alive[x]) deg_sum += deg[x];
     }
     obs::ProgressSample s;
@@ -147,7 +93,6 @@ MisSolution RunBDOne(const Graph& g, KernelSnapshot* capture,
     if (auto* ps = obs::Progress(); ps != nullptr && ps->Due()) {
       sample_progress(ps);
     }
-    if (policy.ShouldCompact(active)) compact();
     if (!v1.empty()) {
       const Vertex u = v1.back();
       v1.pop_back();
@@ -175,14 +120,13 @@ MisSolution RunBDOne(const Graph& g, KernelSnapshot* capture,
       if (auto* t = obs::Trace()) t->Instant("bdone.first_peel");
       sol.kernel_vertices = active;
       uint64_t kernel_edges2 = 0;
-      const Vertex cur_n = static_cast<Vertex>(to_orig.size());
-      for (Vertex v = 0; v < cur_n; ++v) {
+      for (Vertex v = 0; v < n; ++v) {
         if (alive[v]) kernel_edges2 += deg[v];
       }
       sol.kernel_edges = kernel_edges2 / 2;
       if (capture != nullptr) capture_now();
     }
-    peeled[to_orig[u]] = 1;
+    peeled[u] = 1;
     ++sol.rules.peels;
     delete_vertex(u);
   }
@@ -192,21 +136,12 @@ MisSolution RunBDOne(const Graph& g, KernelSnapshot* capture,
     capture_now();  // empty kernel
   }
 
-  ExtendToMaximal(g, sol.in_set);
-  sol.RecountSize();
-  sol.peeled = sol.rules.peels;
-  for (Vertex v = 0; v < n; ++v) {
-    if (peeled[v] && !sol.in_set[v]) ++sol.residual_peeled;
-  }
-  sol.provably_maximum = (sol.residual_peeled == 0);
+  FinalizeSolution(g, peeled, &sol);
   return sol;
 }
 
-MisSolution RunBDOnePerComponent(const Graph& g, const PerComponentOptions& opts,
-                                 const BDOneOptions& options) {
-  const auto algo = [options](const Graph& sub) {
-    return RunBDOne(sub, nullptr, options);
-  };
+MisSolution RunBDOnePerComponent(const Graph& g, const PerComponentOptions& opts) {
+  const auto algo = [](const Graph& sub) { return RunBDOne(sub); };
   return opts.parallel ? RunPerComponentParallel(g, algo)
                        : RunPerComponent(g, algo);
 }

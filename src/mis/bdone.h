@@ -13,23 +13,15 @@
 
 namespace rpmis {
 
-struct BDOneOptions {
-  /// Mid-run alive-subgraph rebuilds (mis/compaction.h). Output is
-  /// byte-identical with compaction disabled or at any threshold.
-  CompactionOptions compaction;
-};
-
 /// Computes a maximal independent set of g with BDOne. If `capture` is
 /// non-null it receives the kernel graph right before the first peel.
-MisSolution RunBDOne(const Graph& g, KernelSnapshot* capture = nullptr,
-                     const BDOneOptions& options = {});
+MisSolution RunBDOne(const Graph& g, KernelSnapshot* capture = nullptr);
 
 /// Component-wise BDOne: runs RunBDOne on every connected component
 /// independently (concurrently when opts.parallel) and merges. Output is
 /// independent of the thread count.
 MisSolution RunBDOnePerComponent(const Graph& g,
-                                 const PerComponentOptions& opts = {},
-                                 const BDOneOptions& options = {});
+                                 const PerComponentOptions& opts = {});
 
 }  // namespace rpmis
 

@@ -73,10 +73,8 @@ void CompactCsr(const VertexRenaming& renaming, std::span<const uint64_t> offset
   for (size_t i = 1; i <= new_n; ++i) (*new_offsets)[i] += (*new_offsets)[i - 1];
   // Pass 2: fill disjoint slices.
   new_adj->resize((*new_offsets)[new_n]);
-  if (old_slot_to_new != nullptr) {
-    RPMIS_ASSERT(adj.size() <= static_cast<uint64_t>(kInvalidVertex));
-    old_slot_to_new->resize(adj.size());
-  }
+  RPMIS_ASSERT(adj.size() <= static_cast<uint64_t>(kInvalidVertex));
+  old_slot_to_new->resize(adj.size());
   ParallelChunks(0, new_n, kParallelGrain, [&](size_t lo, size_t hi) {
     for (size_t i = lo; i < hi; ++i) {
       const Vertex v = renaming.kept[i];
@@ -85,23 +83,19 @@ void CompactCsr(const VertexRenaming& renaming, std::span<const uint64_t> offset
         const Vertex target = renaming.to_new[adj[s]];
         if (target == kInvalidVertex) continue;
         (*new_adj)[pos] = target;
-        if (old_slot_to_new != nullptr) {
-          (*old_slot_to_new)[s] = static_cast<uint32_t>(pos);
-        }
+        (*old_slot_to_new)[s] = static_cast<uint32_t>(pos);
         ++pos;
       }
       RPMIS_DASSERT(pos == (*new_offsets)[i + 1]);
     }
   });
-  if (stats != nullptr) {
-    ++stats->compactions;
-    stats->vertices_scanned += renaming.to_new.size();
-    for (const Vertex v : renaming.kept) {
-      stats->slots_scanned += offsets[v + 1] - offsets[v];
-    }
-    stats->vertices_kept += new_n;
-    stats->slots_kept += new_adj->size();
+  ++stats->compactions;
+  stats->vertices_scanned += renaming.to_new.size();
+  for (const Vertex v : renaming.kept) {
+    stats->slots_scanned += offsets[v + 1] - offsets[v];
   }
+  stats->vertices_kept += new_n;
+  stats->slots_kept += new_adj->size();
 }
 
 void BuildCompactEdges(const Graph& g, const VertexRenaming& renaming,

@@ -1,15 +1,19 @@
-// Mid-run subgraph compaction for the tombstone solvers (the KaMIS-style
-// "rebuild the kernel" trick).
+// Mid-run subgraph compaction for NearLinear's core (the KaMIS-style
+// "rebuild the kernel" trick), plus the monotone renaming primitives the
+// LP prepasses share.
 //
-// Every Reducing-Peeling solver deletes vertices logically (alive bitmap,
-// cached degrees) while its scans keep streaming the ORIGINAL adjacency,
-// so once half the graph is dead every pass still pays full-size memory
-// traffic filtering corpses. The engine here rebuilds a compact CSR of the
-// surviving subgraph whenever the active-vertex count drops below a
-// configurable fraction of the last build (geometric thresholds => the
-// total rebuild work is a constant factor of n + m).
+// NearLinear deletes vertices logically (alive bitmap, cached degrees)
+// while its scans keep streaming its kernel adjacency and the per-slot
+// triangle counts, so once half the kernel is dead every pass still pays
+// full-size memory traffic filtering corpses. The engine here rebuilds a
+// compact CSR of the surviving subgraph whenever the active-vertex count
+// drops below a configurable fraction of the last build (geometric
+// thresholds => the total rebuild work is a constant factor of n + m).
+// BDOne, BDTwo, LinearTime and the kernelizer do not compact: measured
+// against the same runs without it, the rebuilds never paid for
+// themselves there (DESIGN.md §7).
 //
-// Renaming invariants (what keeps runs byte-identical to --no-compaction):
+// Renaming invariants (what keeps runs byte-identical with compaction off):
 //  * the renaming is MONOTONE (kept vertices keep their relative order),
 //    so every increasing-id scan, sorted adjacency list, and a < b edge
 //    enumeration behaves exactly as before;
@@ -19,8 +23,8 @@
 //    dead entries dropped eagerly — exactly the entries the lazy staleness
 //    checks would have skipped.
 //
-// Decisions are mapped back losslessly by a stacked old->new layer: each
-// solver keeps a `to_orig` array (current id -> input id) and composes it
+// Decisions are mapped back losslessly by a stacked old->new layer: the
+// core keeps a `to_orig` array (current id -> input id) and composes it
 // eagerly at every rebuild (new_to_orig[i] = to_orig[kept[i]]). The
 // compositions sum to a geometric series, so the mapping stack costs
 // O(n) total — no quadratic re-mapping.
@@ -36,7 +40,7 @@
 namespace rpmis {
 
 struct CompactionOptions {
-  /// Master switch (the CLI's --no-compaction sets this to false).
+  /// Master switch (bench_micro_compaction's A/B turns it off).
   bool enabled = true;
   /// Rebuild when active vertices < threshold * (size of last build).
   double threshold = 0.5;
@@ -45,7 +49,8 @@ struct CompactionOptions {
   Vertex min_vertices = 64;
 };
 
-/// Per-run compaction counters, surfaced through MisSolution / benchkit.
+/// Per-run compaction counters, surfaced through MisSolution / benchkit
+/// (all zero for every solver but NearLinear).
 /// The *_scanned totals count work done by the rebuilds themselves (old
 /// side), the *_kept totals what the rebuilds produced (new side); under
 /// geometric thresholds both stay O(n + m) for the whole run.
@@ -99,10 +104,10 @@ void RemapWorklist(const VertexRenaming& renaming, std::vector<Vertex>* worklist
 /// Rebuilds a CSR restricted to the kept vertices: slots whose target was
 /// dropped are discarded, per-vertex slot order is preserved. Filled in
 /// parallel over support/parallel (disjoint output slices — byte-identical
-/// at any RPMIS_THREADS). `old_slot_to_new`, when non-null, receives the
-/// new slot id of every surviving old slot (entries of dropped slots are
-/// untouched); it requires the old slot count to fit 32 bits. `stats`,
-/// when non-null, accumulates the scan totals.
+/// at any RPMIS_THREADS). `old_slot_to_new` receives the new slot id of
+/// every surviving old slot (entries of dropped slots are untouched); it
+/// requires the old slot count to fit 32 bits. `stats` accumulates the
+/// scan totals.
 void CompactCsr(const VertexRenaming& renaming, std::span<const uint64_t> offsets,
                 std::span<const Vertex> adj, std::vector<uint64_t>* new_offsets,
                 std::vector<Vertex>* new_adj,

@@ -170,12 +170,7 @@ IoEfficientResult RunIoEfficientBDOne(Vertex n, EdgeStream& stream) {
     if (!added) break;
   }
 
-  sol.RecountSize();
-  sol.peeled = sol.rules.peels;
-  for (Vertex v = 0; v < n; ++v) {
-    if (peeled[v] && !sol.in_set[v]) ++sol.residual_peeled;
-  }
-  sol.provably_maximum = (sol.residual_peeled == 0);
+  CertifySolution(peeled, &sol);
   return out;
 }
 

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "mis/compaction.h"
 #include "mis/reduction_trace.h"
 #include "mis/solution.h"
 
@@ -38,10 +37,6 @@ struct KernelizerOptions {
   bool twin = true;
   bool unconfined = true;
   bool lp = true;
-  /// Mid-run rebuilds of the working adjacency (mis/compaction.h). The
-  /// kernel, lift and rule counters are byte-identical with compaction
-  /// disabled or at any threshold.
-  CompactionOptions compaction;
 };
 
 /// One-shot kernelization engine. Construct, Run(), then read the kernel.
@@ -60,9 +55,6 @@ class Kernelizer {
   uint64_t AlphaOffset() const { return alpha_offset_; }
 
   const RuleCounters& Rules() const { return rules_; }
-
-  /// Mid-run rebuild counters (all zero when compaction never fired).
-  const CompactionStats& Compaction() const { return compaction_; }
 
   /// Lifts an independent set of the kernel to one of the input graph of
   /// size |kernel set| + AlphaOffset().
@@ -108,24 +100,16 @@ class Kernelizer {
   bool RunTwinPass();
   bool RunLpPass();
   void ProcessWorklist();
-  // Renames the working state down to the alive vertices (ALL of them —
-  // isolated alive vertices still owe their degree-zero rule application).
-  // Ops record input ids, so the replay log needs no translation.
-  void CompactState();
 
   const Graph* input_;
   KernelizerOptions options_;
   std::vector<std::vector<Vertex>> adj_;  // sorted alive adjacency
   std::vector<uint8_t> alive_;
-  std::vector<Vertex> to_orig_;           // current id -> input id
-  Vertex alive_count_ = 0;
   std::vector<uint8_t> in_worklist_;
   std::vector<Vertex> worklist_;
-  std::vector<Op> ops_;                   // a/b/c are input ids
+  std::vector<Op> ops_;
   uint64_t alpha_offset_ = 0;
   RuleCounters rules_;
-  CompactionStats compaction_;
-  CompactionPolicy policy_;
 
   Graph kernel_;
   std::vector<Vertex> kernel_to_orig_;

@@ -1,10 +1,8 @@
 #include "mis/linear_time.h"
 
 #include <algorithm>
-#include <numeric>
 
 #include "ds/bucket_queue.h"
-#include "mis/compaction.h"
 #include "mis/kernel_capture.h"
 #include "obs/obs.h"
 #include "obs/progress.h"
@@ -16,10 +14,7 @@ namespace {
 
 // Mutable adjacency view over a private copy of the CSR neighbour array.
 // Entries can be overwritten (rewired); deleted endpoints are skipped via
-// the alive bitmap, never physically removed — except by Compact(), which
-// rebuilds the arrays over the surviving subgraph (dropping exactly the
-// slots every scan would have skipped, in order, so scans behave
-// identically afterwards).
+// the alive bitmap, never physically removed.
 struct MutableCsr {
   explicit MutableCsr(const Graph& g) : offsets(g.RawOffsets()) {
     const std::span<const Vertex> nbs = g.RawNeighbors();
@@ -40,18 +35,7 @@ struct MutableCsr {
     RPMIS_ASSERT_MSG(false, "rewire target not found");
   }
 
-  void Compact(const VertexRenaming& ren, CompactionStats* stats) {
-    std::vector<uint64_t> new_offsets;
-    std::vector<Vertex> new_adj;
-    CompactCsr(ren, offsets, adj, &new_offsets, &new_adj,
-               /*old_slot_to_new=*/nullptr, stats);
-    own_offsets = std::move(new_offsets);
-    offsets = own_offsets;
-    adj = std::move(new_adj);
-  }
-
-  std::span<const uint64_t> offsets;  // input CSR, then own_offsets
-  std::vector<uint64_t> own_offsets;
+  std::span<const uint64_t> offsets;  // the input CSR's offsets
   std::vector<Vertex> adj;
 };
 
@@ -65,18 +49,13 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
   sol.in_set.assign(n, 0);
   uint64_t in_count = 0;  // running |I| for progress samples
 
-  // Optional provenance log; all event ids are input ids (via to_orig).
+  // Optional provenance log (input ids).
   ReductionTrace* rtrace = options.trace;
   if (rtrace != nullptr) rtrace->Clear();
 
   MutableCsr csr(g);
-  // Current id -> input id (identity until the first compaction). Decisions
-  // (in_set, peeled, deferred) are always recorded in input ids.
-  std::vector<Vertex> to_orig(n);
-  std::iota(to_orig.begin(), to_orig.end(), Vertex{0});
-
   std::vector<uint8_t> alive(n, 1);
-  std::vector<uint8_t> peeled(n, 0);       // input-id space
+  std::vector<uint8_t> peeled(n, 0);
   std::vector<uint32_t> deg(n);
   std::vector<Vertex> v1, v2;              // worklists (may hold stale entries)
   std::vector<DeferredDecision> deferred;  // the stack S of Algorithm 4
@@ -100,7 +79,6 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
     }
   }
   LazyMaxBucketQueue peel_queue(deg);
-  CompactionPolicy policy(options.compaction, n);
 
   auto first_alive_neighbor = [&](Vertex v) {
     for (uint64_t e = csr.Begin(v); e < csr.End(v); ++e) {
@@ -141,11 +119,11 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
       } else if (d == 2) {
         v2.push_back(w);
       } else if (d == 0) {
-        sol.in_set[to_orig[w]] = 1;
+        sol.in_set[w] = 1;
         ++in_count;
         --active;
         if (rtrace != nullptr) {
-          rtrace->Append(ReductionRule::kDegreeZeroInclude, to_orig[w]);
+          rtrace->Append(ReductionRule::kDegreeZeroInclude, w);
         }
       }
     }
@@ -183,7 +161,7 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
     if (is_cycle) {
       ++sol.rules.degree_two_path;
       // Degree-two cycle: drop u; the rest unravels by degree-one steps.
-      if (rtrace != nullptr) rtrace->Append(ReductionRule::kPathCycle, to_orig[u]);
+      if (rtrace != nullptr) rtrace->Append(ReductionRule::kPathCycle, u);
       delete_vertex(u);
       return;
     }
@@ -202,7 +180,7 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
     if (v == w) {
       // Case 1: common attachment; exclude it, path unravels degree-one.
       ++sol.rules.degree_two_path;
-      if (rtrace != nullptr) rtrace->Append(ReductionRule::kPathCommon, to_orig[v]);
+      if (rtrace != nullptr) rtrace->Append(ReductionRule::kPathCommon, v);
       delete_vertex(v);
       return;
     }
@@ -212,7 +190,7 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
         // Case 2: drop both attachments; path unravels degree-one.
         ++sol.rules.degree_two_path;
         if (rtrace != nullptr) {
-          rtrace->Append(ReductionRule::kPathAttachments, to_orig[v], to_orig[w]);
+          rtrace->Append(ReductionRule::kPathAttachments, v, w);
         }
         delete_vertex(v);
         if (alive[w]) delete_vertex(w);
@@ -230,8 +208,8 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
       // rewires keep constraining later replays.
       ++sol.rules.degree_two_path;
       for (size_t i = l; i-- > 1;) {
-        deferred.push_back({to_orig[path[i]], to_orig[path[i - 1]],
-                            i + 1 < l ? to_orig[path[i + 1]] : to_orig[w]});
+        deferred.push_back({path[i], path[i - 1],
+                            i + 1 < l ? path[i + 1] : w});
         if (rtrace != nullptr) {
           const DeferredDecision& d = deferred.back();
           rtrace->Append(ReductionRule::kPathDefer, d.v, d.nb1, d.nb2);
@@ -251,12 +229,12 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
     // Defer decisions so pops run v_1, v_2, ..., v_l.
     ++sol.rules.degree_two_path;
     if (rtrace != nullptr) {
-      rtrace->Append(ReductionRule::kPathEvenDrop, to_orig[v], to_orig[w]);
+      rtrace->Append(ReductionRule::kPathEvenDrop, v, w);
     }
     for (size_t i = l; i-- > 0;) {
-      deferred.push_back({to_orig[path[i]],
-                          i > 0 ? to_orig[path[i - 1]] : to_orig[v],
-                          i + 1 < l ? to_orig[path[i + 1]] : to_orig[w]});
+      deferred.push_back({path[i],
+                          i > 0 ? path[i - 1] : v,
+                          i + 1 < l ? path[i + 1] : w});
       if (rtrace != nullptr) {
         const DeferredDecision& d = deferred.back();
         rtrace->Append(ReductionRule::kPathDefer, d.v, d.nb1, d.nb2);
@@ -276,7 +254,7 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
         } else if (d == 2) {
           v2.push_back(x);
         } else if (d == 0) {
-          sol.in_set[to_orig[x]] = 1;
+          sol.in_set[x] = 1;
           ++in_count;
           --active;
         }
@@ -288,58 +266,24 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
     }
   };
 
-  // Rebuilds every per-vertex structure over the alive, still-undecided
-  // subgraph. Renaming is monotone and slot order is preserved, so every
-  // later scan sees the same (alive) neighbour sequence as without
-  // compaction and the output is byte-identical.
-  auto compact = [&]() {
-    obs::TraceSpan span(obs::Trace(), "lineartime.compact");
-    const Vertex cur_n = static_cast<Vertex>(to_orig.size());
-    std::vector<uint8_t> keep(cur_n);
-    for (Vertex x = 0; x < cur_n; ++x) keep[x] = alive[x] && deg[x] > 0;
-    VertexRenaming ren = BuildRenaming(keep);
-    const Vertex new_n = static_cast<Vertex>(ren.kept.size());
-    RPMIS_DASSERT(new_n == active);
-    csr.Compact(ren, &sol.compaction);
-    std::vector<uint32_t> new_deg(new_n);
-    for (Vertex i = 0; i < new_n; ++i) new_deg[i] = deg[ren.kept[i]];
-    deg = std::move(new_deg);
-    alive.assign(new_n, 1);
-    ComposeToOrig(ren, &to_orig);
-    RemapWorklist(ren, &v1);
-    RemapWorklist(ren, &v2);
-    peel_queue.Compact(new_n, ren.to_new);
-    policy.NoteRebuild(new_n);
-  };
-
   bool peeled_yet = false;
   auto capture_now = [&]() {
-    std::vector<uint8_t> alive_o(n, 0);
-    std::vector<uint32_t> deg_o(n, 0);
-    const Vertex cur_n = static_cast<Vertex>(to_orig.size());
-    for (Vertex a = 0; a < cur_n; ++a) {
-      alive_o[to_orig[a]] = alive[a];
-      deg_o[to_orig[a]] = deg[a];
-    }
     std::vector<Edge> edges;
-    for (Vertex a = 0; a < cur_n; ++a) {
+    for (Vertex a = 0; a < n; ++a) {
       if (!alive[a] || deg[a] == 0) continue;
       for (uint64_t e = csr.Begin(a); e < csr.End(a); ++e) {
         const Vertex b = csr.adj[e];
-        if (a < b && alive[b] && deg[b] > 0) {
-          edges.emplace_back(to_orig[a], to_orig[b]);
-        }
+        if (a < b && alive[b] && deg[b] > 0) edges.emplace_back(a, b);
       }
     }
-    internal::BuildKernelSnapshot(alive_o, deg_o, sol.in_set, edges, deferred,
+    internal::BuildKernelSnapshot(alive, deg, sol.in_set, edges, deferred,
                                   capture);
   };
 
   // Progress snapshot: O(live) edge recount, amortized by the stride.
   auto sample_progress = [&](obs::ProgressSampler* ps) {
-    const Vertex cur_n = static_cast<Vertex>(to_orig.size());
     uint64_t deg_sum = 0;
-    for (Vertex x = 0; x < cur_n; ++x) {
+    for (Vertex x = 0; x < n; ++x) {
       if (alive[x]) deg_sum += deg[x];
     }
     obs::ProgressSample s;
@@ -359,7 +303,6 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
     if (auto* ps = obs::Progress(); ps != nullptr && ps->Due()) {
       sample_progress(ps);
     }
-    if (policy.ShouldCompact(active)) compact();
     if (!v1.empty()) {
       const Vertex u = v1.back();
       v1.pop_back();
@@ -367,7 +310,7 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
       const Vertex nb = first_alive_neighbor(u);
       RPMIS_DASSERT(nb != kInvalidVertex);
       if (rtrace != nullptr) {
-        rtrace->Append(ReductionRule::kDegreeOneExclude, to_orig[nb], to_orig[u]);
+        rtrace->Append(ReductionRule::kDegreeOneExclude, nb, u);
       }
       delete_vertex(nb);
       ++sol.rules.degree_one;
@@ -390,16 +333,15 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
       peeled_yet = true;
       if (auto* t = obs::Trace()) t->Instant("lineartime.first_peel");
       sol.kernel_vertices = active;
-      const Vertex cur_n = static_cast<Vertex>(to_orig.size());
-      for (Vertex x = 0; x < cur_n; ++x) {
+      for (Vertex x = 0; x < n; ++x) {
         if (alive[x]) sol.kernel_edges += deg[x];
       }
       sol.kernel_edges /= 2;
       if (capture != nullptr) capture_now();
     }
-    peeled[to_orig[u]] = 1;
+    peeled[u] = 1;
     ++sol.rules.peels;
-    if (rtrace != nullptr) rtrace->Append(ReductionRule::kPeel, to_orig[u]);
+    if (rtrace != nullptr) rtrace->Append(ReductionRule::kPeel, u);
     delete_vertex(u);
   }
   }  // core_span
@@ -409,13 +351,7 @@ MisSolution RunLinearTime(const Graph& g, KernelSnapshot* capture,
   // that also re-admits compatible peeled vertices (Lines 7-8 of Alg. 4).
   obs::TraceSpan finalize_span(obs::Trace(), "lineartime.finalize");
   ReplayDeferredStack(deferred, sol.in_set);
-  ExtendToMaximal(g, sol.in_set);
-  sol.RecountSize();
-  sol.peeled = sol.rules.peels;
-  for (Vertex x = 0; x < n; ++x) {
-    if (peeled[x] && !sol.in_set[x]) ++sol.residual_peeled;
-  }
-  sol.provably_maximum = (sol.residual_peeled == 0);
+  FinalizeSolution(g, peeled, &sol);
   return sol;
 }
 

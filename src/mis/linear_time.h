@@ -28,10 +28,6 @@
 namespace rpmis {
 
 struct LinearTimeOptions {
-  /// Mid-run alive-subgraph rebuilds (mis/compaction.h). Output is
-  /// byte-identical with compaction disabled or at any threshold.
-  CompactionOptions compaction;
-
   /// When non-null, receives the reduction provenance log (input-graph
   /// ids, see mis/reduction_trace.h). Recording never influences the
   /// solve; the solution is byte-identical with or without it.

@@ -710,13 +710,7 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
   // directly against the final membership flags.
   obs::TraceSpan finalize_span(obs::Trace(), "nearlinear.finalize");
   core.ReplayDeferred();
-  ExtendToMaximal(g, sol.in_set);
-  sol.RecountSize();
-  sol.peeled = sol.rules.peels;
-  for (Vertex v = 0; v < n; ++v) {
-    if (peeled_orig[v] && !sol.in_set[v]) ++sol.residual_peeled;
-  }
-  sol.provably_maximum = (sol.residual_peeled == 0);
+  FinalizeSolution(g, peeled_orig, &sol);
   return sol;
 }
 

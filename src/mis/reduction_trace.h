@@ -44,7 +44,7 @@ enum class ReductionRule : uint8_t {
 
 /// One rule application. `v` is the vertex the rule acted on; `a`/`b` are
 /// the rule's partners when it has any (kInvalidVertex otherwise). All ids
-/// are in the *input* graph's numbering regardless of mid-run compaction.
+/// are in the *input* graph's numbering.
 struct ReductionEvent {
   ReductionRule rule;
   Vertex v;

@@ -48,6 +48,22 @@ uint64_t ExtendToMaximal(const Graph& g, std::vector<uint8_t>& in_set) {
   return added;
 }
 
+void CertifySolution(std::span<const uint8_t> peeled_flags, MisSolution* sol) {
+  RPMIS_ASSERT(peeled_flags.size() == sol->in_set.size());
+  sol->RecountSize();
+  sol->peeled = sol->rules.peels;
+  for (size_t v = 0; v < peeled_flags.size(); ++v) {
+    if (peeled_flags[v] && !sol->in_set[v]) ++sol->residual_peeled;
+  }
+  sol->provably_maximum = (sol->residual_peeled == 0);
+}
+
+void FinalizeSolution(const Graph& g, std::span<const uint8_t> peeled_flags,
+                      MisSolution* sol) {
+  ExtendToMaximal(g, sol->in_set);
+  CertifySolution(peeled_flags, sol);
+}
+
 uint64_t ReplayDeferredStack(std::span<const DeferredDecision> stack,
                              std::vector<uint8_t>& in_set) {
   uint64_t added = 0;

@@ -3,6 +3,7 @@
 #define RPMIS_MIS_SOLUTION_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -105,6 +106,16 @@ struct MisSolution {
 /// order. Returns the number of vertices added. This is Line 6 of
 /// Algorithm 1 and also how temporarily peeled vertices re-enter I.
 uint64_t ExtendToMaximal(const Graph& g, std::vector<uint8_t>& in_set);
+
+/// The tail shared by the Reducing-Peeling solvers: recounts `size` from
+/// `in_set`, sets `peeled` = rules.peels, counts the residual |R| = F \ I
+/// (`peeled_flags` marks F in input ids) and certifies the set maximum iff
+/// R is empty (Theorem 6.1).
+void CertifySolution(std::span<const uint8_t> peeled_flags, MisSolution* sol);
+
+/// ExtendToMaximal(g, sol->in_set), then CertifySolution.
+void FinalizeSolution(const Graph& g, std::span<const uint8_t> peeled_flags,
+                      MisSolution* sol);
 
 /// Replays a deferred degree-two-path stack: pops in reverse push order
 /// and adds each vertex iff neither at-removal partner is in the set.

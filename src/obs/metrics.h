@@ -1,7 +1,7 @@
 // Metrics registry: named monotone counters and last-write gauges.
 //
 // This is the generic successor of the bespoke per-struct counter
-// plumbing (RuleCounters, CompactionStats): solvers and harnesses write
+// plumbing (rule and compaction counter structs): solvers and harnesses write
 // named values, sinks (FormatSolverStats, the JSONL run records) read one
 // sorted snapshot instead of knowing every struct's fields. Names are
 // dotted lowercase paths ("rules.degree_one", "compaction.slots_kept",

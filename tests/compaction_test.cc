@@ -1,8 +1,8 @@
 // Compaction-engine tests: renaming primitives, byte-identical
-// differential runs (compaction on at several thresholds vs off) for all
-// four Table-1 algorithms and the kernelizer, serial-vs-parallel
-// OnePassDominance equivalence, and the O(n + m) total-work regression
-// guarding against quadratic re-mapping.
+// differential runs of NearLinear (compaction on at several thresholds vs
+// off), serial-vs-parallel OnePassDominance equivalence, and the O(n + m)
+// total-work regression guarding against quadratic re-mapping. The other
+// solvers never compact; golden_outputs_test pins their outputs.
 #include "mis/compaction.h"
 
 #include <gtest/gtest.h>
@@ -28,10 +28,7 @@
 namespace rpmis {
 namespace {
 
-using ::rpmis::testing::PaperFigure1;
-using ::rpmis::testing::PaperFigure1Modified;
-using ::rpmis::testing::PaperFigure2;
-using ::rpmis::testing::PaperFigure5;
+using ::rpmis::testing::DifferentialGraphs;
 
 // Pins RPMIS_THREADS for a scope and restores the previous value.
 class ScopedThreads {
@@ -95,8 +92,9 @@ TEST(CompactionPrimitives, CompactCsrPreservesSlotOrder) {
   const VertexRenaming ren = BuildRenaming(std::vector<uint8_t>{1, 0, 1, 1});
   std::vector<uint64_t> offsets;
   std::vector<Vertex> adj;
+  std::vector<uint32_t> slot_map;
   CompactionStats stats;
-  CompactCsr(ren, g.RawOffsets(), g.RawNeighbors(), &offsets, &adj, nullptr,
+  CompactCsr(ren, g.RawOffsets(), g.RawNeighbors(), &offsets, &adj, &slot_map,
              &stats);
   ASSERT_EQ(offsets.size(), 4u);
   // New 0 = old 0: neighbours were {1, 2}; slot for dead 1 dropped.
@@ -117,7 +115,7 @@ TEST(CompactionPrimitives, CompactCsrPreservesSlotOrder) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: compaction on (three thresholds) vs off, all algorithms.
+// Differential: compaction on (three thresholds) vs off.
 
 void ExpectIdenticalModuloCompaction(const MisSolution& on,
                                      const MisSolution& off,
@@ -142,19 +140,6 @@ void ExpectIdenticalModuloCompaction(const MisSolution& on,
   EXPECT_EQ(off.compaction.compactions, 0u);
 }
 
-std::vector<std::pair<std::string, Graph>> DifferentialGraphs() {
-  std::vector<std::pair<std::string, Graph>> graphs;
-  graphs.emplace_back("fig1", PaperFigure1());
-  graphs.emplace_back("fig1mod", PaperFigure1Modified());
-  graphs.emplace_back("fig2", PaperFigure2());
-  graphs.emplace_back("fig5", PaperFigure5());
-  graphs.emplace_back("er-3k", ErdosRenyiGnm(3000, 9000, 7));
-  graphs.emplace_back("er-sparse", ErdosRenyiGnm(2000, 2000, 11));
-  graphs.emplace_back("powerlaw", ChungLuPowerLaw(5000, 2.5, 6.0, 13));
-  graphs.emplace_back("plcore", PowerLawWithCore(4000, 2.5, 6.0, 100, 20.0, 17));
-  return graphs;
-}
-
 constexpr double kThresholds[] = {0.9, 0.5, 0.1};
 
 CompactionOptions Aggressive(double threshold) {
@@ -163,48 +148,6 @@ CompactionOptions Aggressive(double threshold) {
   copts.threshold = threshold;
   copts.min_vertices = 1;
   return copts;
-}
-
-TEST(CompactionDifferential, BDOne) {
-  for (const auto& [name, g] : DifferentialGraphs()) {
-    const MisSolution off = RunBDOne(g, nullptr, {.compaction = {.enabled = false}});
-    EXPECT_TRUE(IsMaximalIndependentSet(g, off.in_set));
-    for (double t : kThresholds) {
-      const MisSolution on =
-          RunBDOne(g, nullptr, {.compaction = Aggressive(t)});
-      ExpectIdenticalModuloCompaction(on, off,
-                                      name + " t=" + std::to_string(t));
-      if (g.NumVertices() >= 1000 && t >= 0.9) {
-        EXPECT_GT(on.compaction.compactions, 0u) << name;
-      }
-    }
-  }
-}
-
-TEST(CompactionDifferential, BDTwo) {
-  for (const auto& [name, g] : DifferentialGraphs()) {
-    const MisSolution off = RunBDTwo(g, {.compaction = {.enabled = false}});
-    EXPECT_TRUE(IsMaximalIndependentSet(g, off.in_set));
-    for (double t : kThresholds) {
-      const MisSolution on = RunBDTwo(g, {.compaction = Aggressive(t)});
-      ExpectIdenticalModuloCompaction(on, off,
-                                      name + " t=" + std::to_string(t));
-    }
-  }
-}
-
-TEST(CompactionDifferential, LinearTime) {
-  for (const auto& [name, g] : DifferentialGraphs()) {
-    const MisSolution off =
-        RunLinearTime(g, nullptr, {.compaction = {.enabled = false}});
-    EXPECT_TRUE(IsMaximalIndependentSet(g, off.in_set));
-    for (double t : kThresholds) {
-      const MisSolution on =
-          RunLinearTime(g, nullptr, {.compaction = Aggressive(t)});
-      ExpectIdenticalModuloCompaction(on, off,
-                                      name + " t=" + std::to_string(t));
-    }
-  }
 }
 
 TEST(CompactionDifferential, NearLinear) {
@@ -239,76 +182,6 @@ TEST(CompactionDifferential, NearLinearCoreOnly) {
     ExpectIdenticalModuloCompaction(on, off, "t=" + std::to_string(t));
     if (t >= 0.9) {
       EXPECT_GT(on.compaction.compactions, 0u);
-    }
-  }
-}
-
-TEST(CompactionDifferential, Kernelizer) {
-  for (const auto& [name, g] : DifferentialGraphs()) {
-    SCOPED_TRACE(name);
-    KernelizerOptions off_opts;
-    off_opts.compaction.enabled = false;
-    Kernelizer off(g, off_opts);
-    off.Run();
-    for (double t : kThresholds) {
-      SCOPED_TRACE(t);
-      KernelizerOptions on_opts;
-      on_opts.compaction = Aggressive(t);
-      Kernelizer on(g, on_opts);
-      on.Run();
-      EXPECT_EQ(on.AlphaOffset(), off.AlphaOffset());
-      EXPECT_EQ(on.KernelToOrig(), off.KernelToOrig());
-      ASSERT_EQ(on.Kernel().NumVertices(), off.Kernel().NumVertices());
-      EXPECT_EQ(on.Kernel().NumEdges(), off.Kernel().NumEdges());
-      for (Vertex v = 0; v < on.Kernel().NumVertices(); ++v) {
-        const auto na = on.Kernel().Neighbors(v);
-        const auto nb = off.Kernel().Neighbors(v);
-        ASSERT_EQ(na.size(), nb.size());
-        EXPECT_TRUE(std::equal(na.begin(), na.end(), nb.begin()));
-      }
-      // Lift an arbitrary kernel IS through both op logs.
-      std::vector<uint8_t> kis(on.Kernel().NumVertices(), 0);
-      for (Vertex v = 0; v < on.Kernel().NumVertices(); ++v) {
-        bool free = true;
-        for (Vertex w : on.Kernel().Neighbors(v)) {
-          if (w < v && kis[w]) {
-            free = false;
-            break;
-          }
-        }
-        kis[v] = free;
-      }
-      EXPECT_EQ(on.Lift(kis), off.Lift(kis));
-      EXPECT_EQ(off.Compaction().compactions, 0u);
-    }
-  }
-}
-
-// Regression: an aggressive threshold fires a compaction on nearly every
-// worklist iteration, and RemapWorklist may drop the worklist's remaining
-// (all-dead) entries — the pop that follows must notice the list went
-// empty instead of reading past the end of the freed buffer. G(100, 220)
-// seed 11 at threshold 0.9 is a known trigger (originally surfaced as a
-// heap-buffer-overflow through the exact solver's per-node kernelization);
-// the surrounding seed sweep keeps coverage if reduction details shift.
-TEST(CompactionDifferential, KernelizerWorklistEmptiedByCompaction) {
-  for (uint64_t seed = 0; seed < 40; ++seed) {
-    SCOPED_TRACE(seed);
-    const Graph g = ErdosRenyiGnm(100, 220, seed);
-    KernelizerOptions off_opts;
-    off_opts.compaction.enabled = false;
-    Kernelizer off(g, off_opts);
-    off.Run();
-    for (double t : {1.0, 0.9, 0.5}) {
-      SCOPED_TRACE(t);
-      KernelizerOptions on_opts;
-      on_opts.compaction = Aggressive(t);
-      Kernelizer on(g, on_opts);
-      on.Run();
-      EXPECT_EQ(on.AlphaOffset(), off.AlphaOffset());
-      EXPECT_EQ(on.KernelToOrig(), off.KernelToOrig());
-      EXPECT_EQ(on.Kernel().NumVertices(), off.Kernel().NumVertices());
-      EXPECT_EQ(on.Kernel().NumEdges(), off.Kernel().NumEdges());
     }
   }
 }
@@ -432,10 +305,13 @@ TEST(CompactionWork, TotalRebuildWorkIsLinear) {
   const Vertex n = 100000;
   const uint64_t m = 300000;
   const Graph g = ErdosRenyiGnm(n, m, 31);
-  BDOneOptions opts;
+  // Without the prepasses the core runs on the whole instance.
+  NearLinearOptions opts;
+  opts.one_pass_dominance = false;
+  opts.lp_reduction = false;
   opts.compaction.threshold = 0.5;
   opts.compaction.min_vertices = 1;
-  const MisSolution sol = RunBDOne(g, nullptr, opts);
+  const MisSolution sol = RunNearLinear(g, nullptr, opts);
   EXPECT_GE(sol.compaction.compactions, 3u);
   // Each rebuild scans the previous build, and active counts halve between
   // builds, so the sums form (at worst) a geometric series: a small
@@ -447,65 +323,46 @@ TEST(CompactionWork, TotalRebuildWorkIsLinear) {
   EXPECT_LT(sol.compaction.vertices_kept, sol.compaction.vertices_scanned);
 }
 
-// BDTwo's rebuild walks the whole half-edge pool, dead slots included, so
-// after deletions it scans more slots than it keeps.
-TEST(CompactionWork, BDTwoKeptRatioBelowOneAfterDeletions) {
-  const Graph g = ErdosRenyiGnm(20000, 60000, 41);
-  BDTwoOptions opts;
-  opts.compaction.threshold = 0.5;
-  opts.compaction.min_vertices = 1;
-  const MisSolution sol = RunBDTwo(g, opts);
-  ASSERT_GE(sol.compaction.compactions, 1u);
-  EXPECT_LT(sol.compaction.slots_kept, sol.compaction.slots_scanned);
-  EXPECT_LE(sol.compaction.slots_scanned, 4u * 2u * g.NumEdges());
-}
-
-// Aggressive-threshold smoke across every consumer on one graph: catches
-// mapping bugs in seconds without the 10M-edge bench.
+// Aggressive-threshold NearLinear next to every other solver on one
+// graph: catches mapping bugs in seconds without the 10M-edge bench.
 TEST(CompactionWork, AggressiveSmokeAllAlgorithms) {
   const Graph g = ChungLuPowerLaw(3000, 2.5, 6.0, 37);
-  const CompactionOptions copts = Aggressive(0.95);
-  const MisSolution a = RunBDOne(g, nullptr, {.compaction = copts});
+  const MisSolution a = RunBDOne(g);
   EXPECT_TRUE(IsMaximalIndependentSet(g, a.in_set));
-  const MisSolution b = RunBDTwo(g, {.compaction = copts});
+  const MisSolution b = RunBDTwo(g);
   EXPECT_TRUE(IsMaximalIndependentSet(g, b.in_set));
-  const MisSolution c = RunLinearTime(g, nullptr, {.compaction = copts});
+  const MisSolution c = RunLinearTime(g);
   EXPECT_TRUE(IsMaximalIndependentSet(g, c.in_set));
   NearLinearOptions nl;
-  nl.compaction = copts;
+  nl.compaction = Aggressive(0.95);
   const MisSolution d = RunNearLinear(g, nullptr, nl);
   EXPECT_TRUE(IsMaximalIndependentSet(g, d.in_set));
-  KernelizerOptions ko;
-  ko.compaction = copts;
-  Kernelizer k(g, ko);
+  Kernelizer k(g);
   k.Run();
   const std::vector<uint8_t> lifted =
       k.Lift(std::vector<uint8_t>(k.Kernel().NumVertices(), 0));
   EXPECT_TRUE(IsIndependentSet(g, lifted));
 }
 
-// ARW boosted by a compacting solver must see the exact same kernel (and
-// base solution) as the non-compacting run: the snapshot is extracted from
-// the compacted working graph, and the mapping stack makes that lossless.
+// ARW-NL iterates on the kernel snapshot NearLinear extracts from its
+// compacted working graph; the mapping stack makes that lossless, so the
+// snapshot and the base solution equal those of a run without compaction.
 TEST(CompactionDifferential, BoostedArwKernelSnapshot) {
   const Graph g = ChungLuPowerLaw(4000, 2.5, 6.0, 23);
-  for (const BoostKind kind : {BoostKind::kLinearTime, BoostKind::kNearLinear}) {
-    BoostedOptions on;
-    on.time_limit_seconds = 0.02;
-    on.compaction = Aggressive(0.9);
-    BoostedOptions off = on;
-    off.compaction.enabled = false;
-    const BoostedResult a = RunBoostedArw(g, kind, on);
-    const BoostedResult b = RunBoostedArw(g, kind, off);
-    EXPECT_EQ(a.base.in_set, b.base.in_set);
-    EXPECT_EQ(a.base.size, b.base.size);
-    EXPECT_EQ(a.kernel_vertices, b.kernel_vertices);
-    EXPECT_EQ(a.kernel_edges, b.kernel_edges);
-    EXPECT_GT(a.base.compaction.compactions, 0u);
-    EXPECT_EQ(b.base.compaction.compactions, 0u);
-    EXPECT_TRUE(IsMaximalIndependentSet(g, a.in_set));
-    EXPECT_TRUE(IsMaximalIndependentSet(g, b.in_set));
-  }
+  BoostedOptions opts;
+  opts.time_limit_seconds = 0.02;
+  const BoostedResult a = RunBoostedArw(g, BoostKind::kNearLinear, opts);
+  NearLinearOptions off;
+  off.compaction.enabled = false;
+  KernelSnapshot snap;
+  const MisSolution b = RunNearLinear(g, &snap, off);
+  EXPECT_EQ(a.base.in_set, b.in_set);
+  EXPECT_EQ(a.base.size, b.size);
+  EXPECT_EQ(a.kernel_vertices, snap.kernel.NumVertices());
+  EXPECT_EQ(a.kernel_edges, snap.kernel.NumEdges());
+  EXPECT_GT(a.base.compaction.compactions, 0u);
+  EXPECT_EQ(b.compaction.compactions, 0u);
+  EXPECT_TRUE(IsMaximalIndependentSet(g, a.in_set));
 }
 
 }  // namespace

@@ -6,8 +6,11 @@
 #ifndef RPMIS_TESTS_TEST_UTIL_H_
 #define RPMIS_TESTS_TEST_UTIL_H_
 
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "graph/generators.h"
 #include "graph/graph.h"
 
 namespace rpmis::testing {
@@ -81,6 +84,21 @@ inline Graph PaperFigure5() {
                                                 {7, 8},
                                                 {7, 9},
                                                 {8, 9}});
+}
+
+/// The mixed suite the differential and golden tests sweep: the paper's
+/// worked examples plus mid-size random and power-law graphs.
+inline std::vector<std::pair<std::string, Graph>> DifferentialGraphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("fig1", PaperFigure1());
+  graphs.emplace_back("fig1mod", PaperFigure1Modified());
+  graphs.emplace_back("fig2", PaperFigure2());
+  graphs.emplace_back("fig5", PaperFigure5());
+  graphs.emplace_back("er-3k", ErdosRenyiGnm(3000, 9000, 7));
+  graphs.emplace_back("er-sparse", ErdosRenyiGnm(2000, 2000, 11));
+  graphs.emplace_back("powerlaw", ChungLuPowerLaw(5000, 2.5, 6.0, 13));
+  graphs.emplace_back("plcore", PowerLawWithCore(4000, 2.5, 6.0, 100, 20.0, 17));
+  return graphs;
 }
 
 }  // namespace rpmis::testing
