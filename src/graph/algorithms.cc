@@ -85,72 +85,92 @@ void CheckEdgeIdsFit32Bits(uint64_t directed_edges) {
   }
 }
 
-std::vector<uint32_t> ReverseEdgeIndex(const Graph& g) {
-  const uint64_t directed = 2 * g.NumEdges();
-  CheckEdgeIdsFit32Bits(directed);
-  std::vector<uint32_t> rev(directed);
-  for (Vertex v = 0; v < g.NumVertices(); ++v) {
-    const auto nb = g.Neighbors(v);
-    for (size_t i = 0; i < nb.size(); ++i) {
-      const Vertex w = nb[i];
-      const auto wn = g.Neighbors(w);
-      const auto it = std::lower_bound(wn.begin(), wn.end(), v);
-      RPMIS_DASSERT(it != wn.end() && *it == v);
-      rev[g.EdgeBegin(v) + i] =
-          static_cast<uint32_t>(g.EdgeBegin(w) + (it - wn.begin()));
+std::vector<uint32_t> ReverseEdgeIndex(std::span<const uint64_t> offsets,
+                                       std::span<const Vertex> adj) {
+  CheckEdgeIdsFit32Bits(adj.size());
+  const Vertex n = static_cast<Vertex>(offsets.size() - 1);
+  std::vector<uint32_t> rev(adj.size());
+  // Visiting v in ascending order, w meets its neighbours in ascending
+  // order too, so the k-th visit lands on the k-th slot of w's sorted list,
+  // which holds v.
+  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (Vertex v = 0; v < n; ++v) {
+    for (uint64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+      const uint32_t r = cursor[adj[e]]++;
+      RPMIS_DASSERT(adj[r] == v);
+      rev[e] = r;
     }
   }
   return rev;
 }
 
-std::vector<uint32_t> EdgeTriangleCounts(const Graph& g) {
-  const uint64_t directed = 2 * g.NumEdges();
-  CheckEdgeIdsFit32Bits(directed);
-  std::vector<uint32_t> delta(directed, 0);
-  const std::vector<uint32_t> rev = ReverseEdgeIndex(g);
-  const Vertex n = g.NumVertices();
-  // plus_begin[v]: first slot of v whose neighbour id exceeds v, i.e. the
-  // start of the "forward" sublist A+(v). Sorted adjacency makes A+ a
-  // contiguous suffix.
-  std::vector<uint64_t> plus_begin(n);
-  for (Vertex v = 0; v < n; ++v) {
-    const auto vn = g.Neighbors(v);
-    plus_begin[v] =
-        g.EdgeBegin(v) + (std::upper_bound(vn.begin(), vn.end(), v) - vn.begin());
-  }
-  // Forward triangle enumeration: every triangle {u < v < w} is discovered
-  // exactly once — while merging the post-v suffix of N(u) against A+(v) for
-  // the edge (u, v) — and credits all three of its edges (both directions
-  // each). Per-edge totals therefore equal |N(u) ∩ N(v)| without ever
-  // re-walking full adjacency lists.
+std::vector<uint32_t> ReverseEdgeIndex(const Graph& g) {
+  return ReverseEdgeIndex(g.RawOffsets(), g.RawNeighbors());
+}
+
+std::vector<uint32_t> EdgeTriangleCounts(std::span<const uint64_t> offsets,
+                                         std::span<const Vertex> adj,
+                                         std::span<const uint32_t> rev) {
+  CheckEdgeIdsFit32Bits(adj.size());
+  RPMIS_ASSERT(rev.size() == adj.size());
+  const Vertex n = static_cast<Vertex>(offsets.size() - 1);
+  const auto below = [&](Vertex a, Vertex b) {
+    const uint64_t da = offsets[a + 1] - offsets[a];
+    const uint64_t db = offsets[b + 1] - offsets[b];
+    return da < db || (da == db && a < b);
+  };
+  // Orient every edge towards its higher (degree, id) endpoint (a ≺ b iff
+  // below(a, b)). The out-list of u packs (target, slot of (u, target)); each edge appears
+  // once, and no out-list is longer than sqrt(2m).
+  struct Out {
+    Vertex to;
+    uint32_t slot;
+  };
+  std::vector<uint32_t> out_begin(static_cast<size_t>(n) + 1, 0);
   for (Vertex u = 0; u < n; ++u) {
-    const uint64_t u_end = g.EdgeEnd(u);
-    for (uint64_t e = plus_begin[u]; e < u_end; ++e) {
-      const Vertex v = g.EdgeTarget(e);
-      const uint64_t v_end = g.EdgeEnd(v);
-      uint64_t a = e + 1;  // slots after v in N(u): ids > v
-      uint64_t b = plus_begin[v];
-      while (a < u_end && b < v_end) {
-        const Vertex wa = g.EdgeTarget(a);
-        const Vertex wb = g.EdgeTarget(b);
-        if (wa < wb) {
-          ++a;
-        } else if (wa > wb) {
-          ++b;
-        } else {
-          ++delta[e];
-          ++delta[rev[e]];
-          ++delta[a];
-          ++delta[rev[a]];
-          ++delta[b];
-          ++delta[rev[b]];
-          ++a;
-          ++b;
-        }
-      }
+    uint32_t d = 0;
+    for (uint64_t e = offsets[u]; e < offsets[u + 1]; ++e) d += below(u, adj[e]);
+    out_begin[u + 1] = out_begin[u] + d;
+  }
+  std::vector<Out> out(out_begin[n]);
+  for (Vertex u = 0; u < n; ++u) {
+    uint32_t k = out_begin[u];
+    for (uint64_t e = offsets[u]; e < offsets[u + 1]; ++e) {
+      if (below(u, adj[e])) out[k++] = {adj[e], static_cast<uint32_t>(e)};
     }
   }
+  // Each triangle u ≺ v ≺ w (in that order) is found once, at u, as the
+  // out-edge (v, w) of an out-neighbour v of u with w also in out(u). Its
+  // three edges are credited on their out-list entries; `pos[w]` holds
+  // 1 + the entry of (u, w) while u is being processed.
+  std::vector<uint32_t> count(out.size(), 0);
+  std::vector<uint32_t> pos(n, 0);
+  for (Vertex u = 0; u < n; ++u) {
+    for (uint32_t k = out_begin[u]; k < out_begin[u + 1]; ++k) pos[out[k].to] = k + 1;
+    for (uint32_t k = out_begin[u]; k < out_begin[u + 1]; ++k) {
+      const Vertex v = out[k].to;
+      for (uint32_t j = out_begin[v]; j < out_begin[v + 1]; ++j) {
+        const uint32_t uw = pos[out[j].to];
+        if (uw == 0) continue;
+        ++count[k];
+        ++count[j];
+        ++count[uw - 1];
+      }
+    }
+    for (uint32_t k = out_begin[u]; k < out_begin[u + 1]; ++k) pos[out[k].to] = 0;
+  }
+  // Both directions of an edge carry its count.
+  std::vector<uint32_t> delta(adj.size());
+  for (size_t k = 0; k < out.size(); ++k) {
+    delta[out[k].slot] = count[k];
+    delta[rev[out[k].slot]] = count[k];
+  }
   return delta;
+}
+
+std::vector<uint32_t> EdgeTriangleCounts(const Graph& g) {
+  const std::vector<uint32_t> rev = ReverseEdgeIndex(g);
+  return EdgeTriangleCounts(g.RawOffsets(), g.RawNeighbors(), rev);
 }
 
 uint64_t CountTriangles(const Graph& g) {

@@ -72,25 +72,35 @@ class ComponentExtractor {
   std::vector<Vertex> local_id_;  // old id -> position within its slice
 };
 
-/// Validates that a directed edge count fits the 32-bit edge ids used by
-/// ReverseEdgeIndex / EdgeTriangleCounts (the paper's 4m-int space
-/// budget). Throws std::runtime_error naming the offending count instead
-/// of asserting, so callers feeding multi-billion-edge graphs get a
+/// Validates that a directed edge count fits the 32-bit slot ids used by
+/// ReverseEdgeIndex / EdgeTriangleCounts and NearLinear's per-slot arrays.
+/// Throws std::runtime_error naming the offending count instead of
+/// asserting, so callers feeding multi-billion-edge graphs get a
 /// diagnosable failure. Exposed for tests (the limit itself is not
 /// reachable with test-sized graphs).
 void CheckEdgeIdsFit32Bits(uint64_t directed_edges);
 
-/// Per-directed-edge reverse index: for the directed edge id e representing
-/// (u, v), result[e] is the id of (v, u). O(m log Δ). Throws via
-/// CheckEdgeIdsFit32Bits when the directed edge count exceeds 32 bits.
+/// Per-directed-edge reverse index of a symmetric CSR whose slices are
+/// sorted: for the slot e of (u, v), result[e] is the slot of (v, u). One
+/// cursor pass, O(n + m). Throws via CheckEdgeIdsFit32Bits when the slot
+/// count exceeds 32 bits.
+std::vector<uint32_t> ReverseEdgeIndex(std::span<const uint64_t> offsets,
+                                       std::span<const Vertex> adj);
 std::vector<uint32_t> ReverseEdgeIndex(const Graph& g);
 
-/// Per-directed-edge triangle counts δ(u, v) = |N(u) ∩ N(v)| (Lemma 5.2).
-/// Both directions of an edge carry the same count. Forward enumeration
-/// over id-ordered adjacency suffixes: each triangle is discovered once at
-/// its lowest-id edge and credits all three edges, so the merge cost is
-/// O(sum over edges of d⁺(u) + d⁺(v)) — roughly a third of the naive
-/// full-list merges on sparse graphs.
+/// Per-directed-edge triangle counts δ(u, v) = |N(u) ∩ N(v)| (Lemma 5.2)
+/// of a symmetric CSR with reverse index `rev`. Both directions of an edge
+/// carry the same count. Edges are oriented towards the higher
+/// (degree, id) endpoint and each triangle is found once, from its lowest
+/// vertex, by marking that vertex's out-neighbours: O(m·a(G)) time, so a
+/// hub never costs the sum of squared degrees. Besides the 2m-slot result
+/// it allocates 3m + O(n) 32-bit words of scratch (the packed out-lists
+/// and their counts).
+std::vector<uint32_t> EdgeTriangleCounts(std::span<const uint64_t> offsets,
+                                         std::span<const Vertex> adj,
+                                         std::span<const uint32_t> rev);
+
+/// Same, for a Graph (computes the reverse index itself).
 std::vector<uint32_t> EdgeTriangleCounts(const Graph& g);
 
 /// Total number of triangles in the graph.

@@ -1,6 +1,6 @@
 // Mid-run subgraph compaction for NearLinear's core (the KaMIS-style
-// "rebuild the kernel" trick), plus the monotone renaming primitives the
-// LP prepasses share.
+// "rebuild the kernel" trick), plus the monotone renaming primitives
+// NearLinear's kernel assembly and the kernelizer's LP pass share.
 //
 // NearLinear deletes vertices logically (alive bitmap, cached degrees)
 // while its scans keep streaming its kernel adjacency and the per-slot
@@ -113,14 +113,11 @@ void CompactCsr(const VertexRenaming& renaming, std::span<const uint64_t> offset
                 std::vector<Vertex>* new_adj,
                 std::vector<uint32_t>* old_slot_to_new, CompactionStats* stats);
 
-/// Emits the renamed edge list {(to_new[v], to_new[w]) : v < w, both kept}
-/// exactly as the serial nested loop over increasing v would, but counted
-/// and filled in parallel. Shared by the LP-reduction prepasses.
-void BuildCompactEdges(const Graph& g, const VertexRenaming& renaming,
-                       std::vector<Edge>* edges);
-
-/// Same, over a sorted adjacency-list representation whose lists contain
-/// only kept vertices (the kernelizer's state).
+/// Emits the renamed edge list {(to_new[v], to_new[w]) : v < w} of a
+/// sorted adjacency-list representation whose lists contain only kept
+/// vertices (the kernelizer's state), exactly as the serial nested loop
+/// over increasing v would, but counted and filled in parallel. Feeds the
+/// kernelizer's LP pass.
 void BuildCompactEdges(const std::vector<std::vector<Vertex>>& adj,
                        const VertexRenaming& renaming, std::vector<Edge>* edges);
 

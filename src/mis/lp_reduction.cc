@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
-#include <queue>
 
 #include "support/parallel.h"
 
@@ -11,33 +10,34 @@ namespace rpmis {
 
 namespace {
 
-// CSR over the left side of a bipartite graph.
+// CSR over the left side of a bipartite graph. `for_each(emit)` lists
+// the cross edges as emit(l, r); each left list keeps listing order.
 struct LeftCsr {
   std::vector<uint64_t> offsets;
   std::vector<Vertex> targets;
-
-  LeftCsr(Vertex left, std::span<const Edge> cross) {
-    offsets.assign(static_cast<size_t>(left) + 1, 0);
-    for (const auto& [l, r] : cross) {
-      (void)r;
-      ++offsets[l + 1];
-    }
-    for (size_t i = 1; i < offsets.size(); ++i) offsets[i] += offsets[i - 1];
-    targets.resize(cross.size());
-    std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (const auto& [l, r] : cross) targets[cursor[l]++] = r;
-  }
 };
+
+template <typename ForEach>
+LeftCsr BuildLeftCsr(Vertex left, ForEach for_each) {
+  LeftCsr csr;
+  csr.offsets.assign(static_cast<size_t>(left) + 1, 0);
+  for_each([&](Vertex l, Vertex) { ++csr.offsets[l + 1]; });
+  for (size_t i = 1; i < csr.offsets.size(); ++i) csr.offsets[i] += csr.offsets[i - 1];
+  csr.targets.resize(csr.offsets.back());
+  std::vector<uint64_t> cursor(csr.offsets.begin(), csr.offsets.end() - 1);
+  for_each([&](Vertex l, Vertex r) { csr.targets[cursor[l]++] = r; });
+  return csr;
+}
 
 constexpr uint32_t kInf = std::numeric_limits<uint32_t>::max();
 
 }  // namespace
 
-uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
-                              std::span<const Edge> cross_edges,
+uint64_t HopcroftKarpMatching(Vertex right, std::span<const uint64_t> offsets,
+                              std::span<const Vertex> targets,
                               std::vector<Vertex>* match_left,
                               std::vector<Vertex>* match_right) {
-  LeftCsr csr(left, cross_edges);
+  const Vertex left = static_cast<Vertex>(offsets.size() - 1);
   std::vector<Vertex> ml(left, kInvalidVertex);
   std::vector<Vertex> mr(right, kInvalidVertex);
   std::vector<uint32_t> dist(left);
@@ -47,8 +47,8 @@ uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
 
   // Greedy warm start roughly halves the number of phases in practice.
   for (Vertex l = 0; l < left; ++l) {
-    for (uint64_t e = csr.offsets[l]; e < csr.offsets[l + 1]; ++e) {
-      const Vertex r = csr.targets[e];
+    for (uint64_t e = offsets[l]; e < offsets[l + 1]; ++e) {
+      const Vertex r = targets[e];
       if (mr[r] == kInvalidVertex) {
         ml[l] = r;
         mr[r] = l;
@@ -77,8 +77,8 @@ uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
     bool found = false;
     for (size_t head = 0; head < bfs_queue.size(); ++head) {
       const Vertex l = bfs_queue[head];
-      for (uint64_t e = csr.offsets[l]; e < csr.offsets[l + 1]; ++e) {
-        const Vertex r = csr.targets[e];
+      for (uint64_t e = offsets[l]; e < offsets[l + 1]; ++e) {
+        const Vertex r = targets[e];
         const Vertex l2 = mr[r];
         if (l2 == kInvalidVertex) {
           found = true;
@@ -121,8 +121,8 @@ uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
         const size_t hi = std::min(frontier.size(), lo + chunk);
         for (size_t i = lo; i < hi; ++i) {
           const Vertex l = frontier[i];
-          for (uint64_t e = csr.offsets[l]; e < csr.offsets[l + 1]; ++e) {
-            const Vertex r = csr.targets[e];
+          for (uint64_t e = offsets[l]; e < offsets[l + 1]; ++e) {
+            const Vertex r = targets[e];
             const Vertex l2 = mr[r];
             if (l2 == kInvalidVertex) {
               found.store(true, std::memory_order_relaxed);
@@ -153,8 +153,8 @@ uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
 
   // DFS along the layer structure, augmenting on success.
   auto dfs = [&](auto&& self, Vertex l) -> bool {
-    for (uint64_t e = csr.offsets[l]; e < csr.offsets[l + 1]; ++e) {
-      const Vertex r = csr.targets[e];
+    for (uint64_t e = offsets[l]; e < offsets[l + 1]; ++e) {
+      const Vertex r = targets[e];
       const Vertex l2 = mr[r];
       if (l2 == kInvalidVertex || (dist[l2] == dist[l] + 1 && self(self, l2))) {
         ml[l] = r;
@@ -177,24 +177,30 @@ uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
   return matching;
 }
 
-LpReduction SolveLpReduction(Vertex n, std::span<const Edge> edges) {
-  // Bipartite double cover: each undirected edge (u, v) becomes the two
-  // cross edges (u_L, v_R) and (v_L, u_R).
-  std::vector<Edge> cross;
-  cross.reserve(2 * edges.size());
-  for (const auto& [u, v] : edges) {
-    cross.emplace_back(u, v);
-    cross.emplace_back(v, u);
-  }
+uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
+                              std::span<const Edge> cross_edges,
+                              std::vector<Vertex>* match_left,
+                              std::vector<Vertex>* match_right) {
+  const LeftCsr csr = BuildLeftCsr(left, [&](auto emit) {
+    for (const auto& [l, r] : cross_edges) emit(l, r);
+  });
+  return HopcroftKarpMatching(right, csr.offsets, csr.targets, match_left,
+                              match_right);
+}
+
+LpReduction SolveLpReduction(std::span<const uint64_t> offsets,
+                             std::span<const Vertex> adj) {
+  // The double cover's left CSR is the graph's own: v_L is joined to u_R
+  // for every slot (v, u).
+  const Vertex n = static_cast<Vertex>(offsets.size() - 1);
   std::vector<Vertex> ml, mr;
   LpReduction out;
-  out.matching = HopcroftKarpMatching(n, n, cross, &ml, &mr);
+  out.matching = HopcroftKarpMatching(n, offsets, adj, &ml, &mr);
 
   // König: Z = vertices alternately reachable from free LEFT vertices
   // (non-matching edge to the right, matching edge back to the left).
   // Min vertex cover of the double cover: (L \ Z_L) ∪ (R ∩ Z_R).
   std::vector<uint8_t> zl(n, 0), zr(n, 0);
-  LeftCsr csr(n, cross);
   std::vector<Vertex> stack;
   for (Vertex l = 0; l < n; ++l) {
     if (ml[l] == kInvalidVertex && !zl[l]) {
@@ -205,8 +211,8 @@ LpReduction SolveLpReduction(Vertex n, std::span<const Edge> edges) {
   while (!stack.empty()) {
     const Vertex l = stack.back();
     stack.pop_back();
-    for (uint64_t e = csr.offsets[l]; e < csr.offsets[l + 1]; ++e) {
-      const Vertex r = csr.targets[e];
+    for (uint64_t e = offsets[l]; e < offsets[l + 1]; ++e) {
+      const Vertex r = adj[e];
       if (zr[r]) continue;
       if (ml[l] == r) continue;  // only non-matching edges leave L
       zr[r] = 1;
@@ -236,8 +242,20 @@ LpReduction SolveLpReduction(Vertex n, std::span<const Edge> edges) {
   return out;
 }
 
+LpReduction SolveLpReduction(Vertex n, std::span<const Edge> edges) {
+  // Bipartite double cover: each undirected edge (u, v) becomes the two
+  // cross edges (u_L, v_R) and (v_L, u_R), in that order.
+  const LeftCsr csr = BuildLeftCsr(n, [&](auto emit) {
+    for (const auto& [u, v] : edges) {
+      emit(u, v);
+      emit(v, u);
+    }
+  });
+  return SolveLpReduction(csr.offsets, csr.targets);
+}
+
 LpReduction SolveLpReduction(const Graph& g) {
-  return SolveLpReduction(g.NumVertices(), g.CollectEdges());
+  return SolveLpReduction(g.RawOffsets(), g.RawNeighbors());
 }
 
 }  // namespace rpmis

@@ -34,11 +34,19 @@ struct LpReduction {
   uint64_t Bound(Vertex n) const { return n - (matching + 1) / 2; }
 };
 
-/// Solves the LP relaxation for the graph (n, edges) and classifies every
-/// vertex. Self-loops/duplicates are not expected (come from Graph).
+/// Solves the LP relaxation for the graph on [0, offsets.size() - 1) given
+/// as a symmetric CSR, and classifies every vertex. The CSR is the double
+/// cover's left side as it stands (v_L is joined to u_R for every slot
+/// (v, u)), so no cross-edge list is built. Self-loops/duplicates are not
+/// expected.
+LpReduction SolveLpReduction(std::span<const uint64_t> offsets,
+                             std::span<const Vertex> adj);
+
+/// Same for the graph (n, edges): each vertex's list holds its edges in
+/// edge-list order (for a sorted u < v list, that is the sorted CSR).
 LpReduction SolveLpReduction(Vertex n, std::span<const Edge> edges);
 
-/// Convenience overload for a whole Graph.
+/// Convenience overload for a whole Graph (its CSR, directly).
 LpReduction SolveLpReduction(const Graph& g);
 
 /// Maximum matching size of a bipartite graph with `left` x `right`
@@ -46,6 +54,13 @@ LpReduction SolveLpReduction(const Graph& g);
 /// Exposed for testing and for the upper-bound module.
 uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
                               std::span<const Edge> cross_edges,
+                              std::vector<Vertex>* match_left = nullptr,
+                              std::vector<Vertex>* match_right = nullptr);
+
+/// Same, with the left side given as a CSR (offsets.size() - 1 left
+/// vertices; targets are right ids).
+uint64_t HopcroftKarpMatching(Vertex right, std::span<const uint64_t> offsets,
+                              std::span<const Vertex> targets,
                               std::vector<Vertex>* match_left = nullptr,
                               std::vector<Vertex>* match_right = nullptr);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <optional>
 
 #include "ds/bucket_queue.h"
 #include "graph/algorithms.h"
@@ -167,6 +168,65 @@ namespace {
 using Slot = uint32_t;
 constexpr Slot kNoSlot = static_cast<Slot>(-1);
 
+// A sorted CSR over a monotone renaming of the input: `to_orig[i]` is the
+// input id of vertex i.
+struct KernelCsr {
+  std::vector<uint64_t> offsets;
+  std::vector<Vertex> adj;
+  std::vector<Vertex> to_orig;
+};
+
+// The subgraph of the CSR (offsets, adj) induced by the vertices with
+// keep[v] != 0, assembled directly: the renaming is monotone, so each
+// sorted slice stays sorted and no edge list or re-sort is needed.
+// `to_orig` receives ids local to (offsets, adj).
+KernelCsr InducedCsr(std::span<const uint64_t> offsets, std::span<const Vertex> adj,
+                     std::span<const uint8_t> keep) {
+  VertexRenaming ren = BuildRenaming(keep);
+  KernelCsr out;
+  out.offsets.resize(ren.kept.size() + 1);
+  out.offsets[0] = 0;
+  uint64_t bound = 0;
+  for (const Vertex v : ren.kept) bound += offsets[v + 1] - offsets[v];
+  out.adj.reserve(bound);
+  for (size_t i = 0; i < ren.kept.size(); ++i) {
+    const Vertex v = ren.kept[i];
+    for (uint64_t e = offsets[v]; e < offsets[v + 1]; ++e) {
+      const Vertex w = ren.to_new[adj[e]];
+      if (w != kInvalidVertex) out.adj.push_back(w);
+    }
+    out.offsets[i + 1] = out.adj.size();
+  }
+  out.to_orig = std::move(ren.kept);
+  return out;
+}
+
+// Drops the vertices the LP prepass fixed from the kernel (the included
+// ones join I), then the survivors left without a neighbour, which join I
+// too.
+KernelCsr DropLpFixed(const KernelCsr& kernel, const LpReduction& lp,
+                      std::vector<uint8_t>* in_set) {
+  obs::TraceSpan span(obs::Trace(), "nearlinear.kernel_csr");
+  const Vertex n = static_cast<Vertex>(kernel.to_orig.size());
+  std::vector<uint8_t> keep(n, 0);
+  for (Vertex c = 0; c < n; ++c) {
+    if (lp.exclude[c]) continue;
+    if (!lp.include[c]) {
+      for (uint64_t e = kernel.offsets[c]; e < kernel.offsets[c + 1]; ++e) {
+        const Vertex w = kernel.adj[e];
+        if (!lp.include[w] && !lp.exclude[w]) {
+          keep[c] = 1;
+          break;
+        }
+      }
+    }
+    if (!keep[c]) (*in_set)[kernel.to_orig[c]] = 1;
+  }
+  KernelCsr out = InducedCsr(kernel.offsets, kernel.adj, keep);
+  for (Vertex& v : out.to_orig) v = kernel.to_orig[v];
+  return out;
+}
+
 // The NearLinear main loop, operating on a compact kernel graph (the
 // instance that remains after the exact prepasses). Membership, peel and
 // deferred-path decisions are recorded directly in INPUT ids (via
@@ -174,28 +234,33 @@ constexpr Slot kNoSlot = static_cast<Slot>(-1);
 // (Compact) without post-hoc translation.
 class NearLinearCore {
  public:
-  NearLinearCore(const Graph& kg, std::vector<Vertex> kernel_to_orig,
-                 MisSolution* sol, std::vector<uint8_t>* peeled_orig,
-                 const CompactionOptions& copts)
+  // Takes ownership of the kernel CSR (sorted slices) and its id map.
+  NearLinearCore(KernelCsr kernel, MisSolution* sol,
+                 std::vector<uint8_t>* peeled_orig, const CompactionOptions& copts)
       : sol_(sol),
         peeled_orig_(peeled_orig),
-        n_(kg.NumVertices()),
-        to_orig_(std::move(kernel_to_orig)),
-        offsets_(kg.RawOffsets()),
+        n_(static_cast<Vertex>(kernel.to_orig.size())),
+        to_orig_(std::move(kernel.to_orig)),
+        offsets_(std::move(kernel.offsets)),
+        adj_(std::move(kernel.adj)),
         alive_(n_, 1),
         deg_(n_),
         mark_(n_),
         mark2_(n_),
         policy_(copts, n_) {
-    const std::span<const Vertex> nbs = kg.RawNeighbors();
-    adj_.assign(nbs.begin(), nbs.end());
     for (Vertex v = 0; v < n_; ++v) {
-      deg_[v] = kg.Degree(v);
+      deg_[v] = static_cast<uint32_t>(offsets_[v + 1] - offsets_[v]);
       if (deg_[v] > 0) ++active_;
       if (deg_[v] == 2) v2_.push_back(v);
     }
-    delta_ = EdgeTriangleCounts(kg);
-    rev_ = ReverseEdgeIndex(kg);
+    {
+      obs::TraceSpan span(obs::Trace(), "nearlinear.reverse_index");
+      rev_ = ReverseEdgeIndex(offsets_, adj_);
+    }
+    {
+      obs::TraceSpan span(obs::Trace(), "nearlinear.triangles");
+      delta_ = EdgeTriangleCounts(offsets_, adj_, rev_);
+    }
     // Initial dominated set: u dominates v  =>  v is dominated.
     for (Vertex u = 0; u < n_; ++u) {
       if (deg_[u] == 0) {
@@ -335,9 +400,8 @@ class NearLinearCore {
   MisSolution* sol_;
   std::vector<uint8_t>* peeled_orig_;
   Vertex n_;
-  std::vector<Vertex> to_orig_;        // current id -> input id
-  std::span<const uint64_t> offsets_;  // kernel CSR, then own_offsets_
-  std::vector<uint64_t> own_offsets_;
+  std::vector<Vertex> to_orig_;  // current id -> input id
+  std::vector<uint64_t> offsets_;
   std::vector<Vertex> adj_;
   std::vector<uint32_t> delta_;
   std::vector<uint32_t> rev_;
@@ -532,8 +596,7 @@ void NearLinearCore::Compact(LazyMaxBucketQueue& peel_queue) {
       new_rev[slot_map[s]] = slot_map[rev_[s]];
     }
   }
-  own_offsets_ = std::move(new_offsets);
-  offsets_ = own_offsets_;
+  offsets_ = std::move(new_offsets);
   adj_ = std::move(new_adj);
   delta_ = std::move(new_delta);
   rev_ = std::move(new_rev);
@@ -653,57 +716,38 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
         OnePassDominance(g, alive, deg, sol.in_set, scratch);
   }
 
-  // Prepass 2: Nemhauser–Trotter persistency on the surviving subgraph.
-  if (options.lp_reduction) {
-    obs::TraceSpan span(obs::Trace(), "nearlinear.prepass.lp");
+  // The alive subgraph as a CSR, assembled once: the LP prepass runs on
+  // it, and it is the core's kernel unless LP fixes some of its vertices.
+  // After the dominance prepass deg[v] counts v's alive neighbours, so the
+  // alive vertices with deg > 0 are exactly those with an edge left.
+  const auto alive_csr = [&] {
+    obs::TraceSpan span(obs::Trace(), "nearlinear.kernel_csr");
     std::vector<uint8_t> keep(n);
     for (Vertex v = 0; v < n; ++v) keep[v] = alive[v] && deg[v] > 0;
-    const VertexRenaming ren = BuildRenaming(keep);
-    std::vector<Edge> edges;
-    BuildCompactEdges(g, ren, &edges);  // deterministic parallel build
-    const LpReduction lp =
-        SolveLpReduction(static_cast<Vertex>(ren.kept.size()), edges);
+    return InducedCsr(g.RawOffsets(), g.RawNeighbors(), keep);
+  };
+  KernelCsr kernel;
+  LpReduction lp;
+  // Prepass 2: Nemhauser–Trotter persistency on the alive subgraph.
+  if (options.lp_reduction) {
+    obs::TraceSpan span(obs::Trace(), "nearlinear.prepass.lp");
+    kernel = alive_csr();
+    lp = SolveLpReduction(kernel.offsets, kernel.adj);
     sol.rules.lp = lp.num_include + lp.num_exclude;
-    for (Vertex c = 0; c < ren.kept.size(); ++c) {
-      const Vertex v = ren.kept[c];
-      if (lp.include[c]) {
-        sol.in_set[v] = 1;
-        alive[v] = 0;  // decided; drops out of the kernel
-      } else if (lp.exclude[c]) {
-        alive[v] = 0;
-      }
-    }
   }
 
-  // Build the compact kernel instance for the main loop.
-  std::vector<Vertex> kernel_to_orig;
-  std::vector<Edge> kernel_edges;
-  {
-    obs::TraceSpan span(obs::Trace(), "nearlinear.kernel_build");
-    // Recompute liveness-aware degrees after the prepasses.
-    std::vector<uint8_t> keep(n, 0);
-    for (Vertex v = 0; v < n; ++v) {
-      if (!alive[v]) continue;
-      uint32_t d = 0;
-      for (Vertex w : g.Neighbors(v)) {
-        if (alive[w]) ++d;
-      }
-      if (d == 0) {
-        sol.in_set[v] = 1;  // isolated survivor joins I
-      } else {
-        keep[v] = 1;
-      }
-    }
-    VertexRenaming ren = BuildRenaming(keep);
-    BuildCompactEdges(g, ren, &kernel_edges);  // deterministic parallel build
-    kernel_to_orig = std::move(ren.kept);
+  // The kernel build span also covers the core's reverse index and
+  // triangle counts, which its constructor computes.
+  std::optional<obs::TraceSpan> build_span(std::in_place, obs::Trace(),
+                                           "nearlinear.kernel_build");
+  if (!options.lp_reduction) {
+    kernel = alive_csr();
+  } else if (sol.rules.lp > 0) {
+    kernel = DropLpFixed(kernel, lp, &sol.in_set);
   }
-  const Graph kernel = Graph::FromEdges(
-      static_cast<Vertex>(kernel_to_orig.size()), kernel_edges);
-
   std::vector<uint8_t> peeled_orig(n, 0);
-  NearLinearCore core(kernel, std::move(kernel_to_orig), &sol, &peeled_orig,
-                      options.compaction);
+  NearLinearCore core(std::move(kernel), &sol, &peeled_orig, options.compaction);
+  build_span.reset();
   core.Run(capture != nullptr, capture);
 
   // Deferred path decisions are recorded in input ids, so they replay

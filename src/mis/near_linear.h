@@ -3,12 +3,15 @@
 // per-edge triangle counts (Lemma 5.2: u dominates v iff
 // δ(u,v) = d(u) - 1).
 //
-// O(m·Δ) worst case, 4m + O(n) space (adjacency copy + triangle counts +
-// reverse-edge index). Two prepasses shrink Δ and the instance before the
-// main loop, as in §5:
+// O(m·Δ) worst case. The main loop holds the kernel adjacency, the
+// triangle counts and a reverse-edge index: 6m + O(n) words (the paper's
+// 4m + O(n) has no reverse index). Two prepasses shrink Δ and the instance
+// before the main loop, as in §5:
 //   1. one-pass dominance in decreasing-degree order, O(m·a(G));
 //   2. the Nemhauser–Trotter LP reduction, O(m√n).
-// Both are exact and both can be disabled for ablation.
+// Both are exact and both can be disabled for ablation. The alive subgraph
+// left by the first is assembled once as a CSR; the LP runs on it and the
+// main loop takes it over (DESIGN.md §3).
 #ifndef RPMIS_MIS_NEAR_LINEAR_H_
 #define RPMIS_MIS_NEAR_LINEAR_H_
 

@@ -313,6 +313,48 @@ TEST(AdjacencyGraphTest, HalvesFillOwnerSlicesWithExplicitTwins) {
   }
 }
 
+// Insertions right after construction draw from the pool's spare capacity
+// and then grow it; every half-edge must stay consistent throughout.
+TEST(AdjacencyGraphTest, InsertAfterConstructionKeepsHalvesValid) {
+  const Graph g = ErdosRenyiGnm(60, 200, /*seed=*/9);
+  AdjacencyGraph dyn(g);
+  std::vector<std::set<Vertex>> model(g.NumVertices());
+  for (Vertex v = 0; v < g.NumVertices(); ++v) {
+    model[v].insert(g.Neighbors(v).begin(), g.Neighbors(v).end());
+  }
+  Rng rng(3);
+  uint64_t inserted = 0;
+  // 200 edges: past the 1/8 headroom of the 400-half pool.
+  while (inserted < 200) {
+    const Vertex u = static_cast<Vertex>(rng.NextBounded(g.NumVertices()));
+    const Vertex v = static_cast<Vertex>(rng.NextBounded(g.NumVertices()));
+    if (u == v || model[u].count(v) != 0) continue;
+    ASSERT_TRUE(dyn.InsertEdge(u, v));
+    model[u].insert(v);
+    model[v].insert(u);
+    ++inserted;
+    ASSERT_EQ(dyn.HalfPoolSize(), 2 * (g.NumEdges() + inserted));
+    std::vector<Vertex> owner(dyn.HalfPoolSize(), kInvalidVertex);
+    std::vector<Vertex> target(dyn.HalfPoolSize(), kInvalidVertex);
+    for (Vertex x = 0; x < g.NumVertices(); ++x) {
+      dyn.ForEachHalf(x, [&](uint32_t h, Vertex w) {
+        ASSERT_LT(h, dyn.HalfPoolSize());
+        EXPECT_EQ(owner[h], kInvalidVertex) << "half " << h << " in two lists";
+        owner[h] = x;
+        target[h] = w;
+      });
+      ASSERT_EQ(NeighborSet(dyn, x), model[x]) << "vertex " << x;
+    }
+    for (uint32_t h = 0; h < dyn.HalfPoolSize(); ++h) {
+      ASSERT_NE(owner[h], kInvalidVertex) << "half " << h << " in no list";
+      const uint32_t t = dyn.Twin(h);
+      ASSERT_EQ(dyn.Twin(t), h);
+      ASSERT_EQ(owner[t], target[h]);
+      ASSERT_EQ(target[t], owner[h]);
+    }
+  }
+}
+
 TEST(AdjacencyGraphTest, ToGraphDropsRemovedVertex) {
   Graph g = CycleGraph(5);
   AdjacencyGraph dyn(g);

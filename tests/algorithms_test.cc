@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.h"
@@ -110,6 +113,73 @@ TEST(ReverseEdgeIndexTest, MirrorsAreInvolution) {
       EXPECT_EQ(rev[r], e);
       EXPECT_EQ(g.EdgeTarget(r), v);
     }
+  }
+}
+
+TEST(ReverseEdgeIndexTest, PointsToMirrorSlotOnRandomGraphs) {
+  const Graph graphs[] = {ErdosRenyiGnp(300, 0.03, /*seed=*/1),
+                          ChungLuPowerLaw(2000, 2.1, 6.0, /*seed=*/2),
+                          ChungLuPowerLaw(1500, 3.5, 10.0, /*seed=*/3),
+                          StarGraph(40), Graph::FromEdges(6, std::vector<Edge>{})};
+  for (const Graph& g : graphs) {
+    const std::vector<uint32_t> rev = ReverseEdgeIndex(g);
+    ASSERT_EQ(rev.size(), 2 * g.NumEdges());
+    for (Vertex v = 0; v < g.NumVertices(); ++v) {
+      for (uint64_t e = g.EdgeBegin(v); e < g.EdgeEnd(v); ++e) {
+        const Vertex w = g.EdgeTarget(e);
+        const uint32_t r = rev[e];
+        ASSERT_GE(r, g.EdgeBegin(w));
+        ASSERT_LT(r, g.EdgeEnd(w));
+        EXPECT_EQ(g.EdgeTarget(r), v);
+        EXPECT_EQ(rev[r], e);
+      }
+    }
+  }
+}
+
+// |N(u) ∩ N(v)| for every slot (u, v), by merging the two sorted lists.
+std::vector<uint32_t> BruteForceTriangleCounts(const Graph& g) {
+  std::vector<uint32_t> delta(2 * g.NumEdges());
+  for (Vertex u = 0; u < g.NumVertices(); ++u) {
+    for (uint64_t e = g.EdgeBegin(u); e < g.EdgeEnd(u); ++e) {
+      const auto nu = g.Neighbors(u);
+      const auto nv = g.Neighbors(g.EdgeTarget(e));
+      std::vector<Vertex> common;
+      std::set_intersection(nu.begin(), nu.end(), nv.begin(), nv.end(),
+                            std::back_inserter(common));
+      delta[e] = static_cast<uint32_t>(common.size());
+    }
+  }
+  return delta;
+}
+
+// Hub 0 joined to every vertex of the cycle 1..rim.
+Graph WheelGraph(Vertex rim) {
+  std::vector<Edge> edges;
+  for (Vertex i = 1; i <= rim; ++i) {
+    edges.emplace_back(0, i);
+    edges.emplace_back(i, i == rim ? 1 : i + 1);
+  }
+  return Graph::FromEdges(rim + 1, edges);
+}
+
+TEST(TriangleCountsTest, MatchesBruteForceOnGraphFamilies) {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  for (uint64_t seed : {1, 2, 3}) {
+    graphs.emplace_back("gnp", ErdosRenyiGnp(250, 0.06, seed));
+    graphs.emplace_back("chunglu-2.1", ChungLuPowerLaw(3000, 2.1, 8.0, seed));
+    graphs.emplace_back("chunglu-3.5", ChungLuPowerLaw(2000, 3.5, 12.0, seed));
+  }
+  graphs.emplace_back("star", StarGraph(60));
+  graphs.emplace_back("wheel", WheelGraph(25));
+  graphs.emplace_back("wheel3", WheelGraph(3));  // K4
+  graphs.emplace_back("clique", CompleteGraph(14));
+  graphs.emplace_back("isolated", Graph::FromEdges(12, std::vector<Edge>{
+                                                           {2, 5}, {5, 7}, {2, 7}, {7, 9}, {9, 11}}));
+  graphs.emplace_back("edgeless", Graph::FromEdges(7, std::vector<Edge>{}));
+  graphs.emplace_back("empty", Graph());
+  for (const auto& [name, g] : graphs) {
+    EXPECT_EQ(EdgeTriangleCounts(g), BruteForceTriangleCounts(g)) << name;
   }
 }
 

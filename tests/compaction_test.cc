@@ -187,8 +187,8 @@ TEST(CompactionDifferential, NearLinearCoreOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial-vs-parallel OnePassDominance (and the parallel LP edge build that
-// NearLinear's prepass uses) must be byte-identical at any thread count.
+// Serial-vs-parallel OnePassDominance and the LP prepass (its parallel
+// Hopcroft–Karp BFS) must be byte-identical at any thread count.
 
 struct DominanceRun {
   std::vector<uint8_t> alive;

@@ -5,6 +5,7 @@
 #include "exact/brute_force.h"
 #include "graph/generators.h"
 #include "mis/verify.h"
+#include "test_util.h"
 
 namespace rpmis {
 namespace {
@@ -98,6 +99,38 @@ TEST(LpReductionTest, BoundDominatesAlpha) {
     Graph g = ErdosRenyiGnm(24, 50, seed + 100);
     LpReduction lp = SolveLpReduction(g);
     EXPECT_GE(lp.Bound(g.NumVertices()), BruteForceAlpha(g));
+  }
+}
+
+// The CSR-driven solve (the graph's CSR is the double cover's left side)
+// against the edge-list path and against Hopcroft–Karp on the explicit
+// interleaved cross-edge list: same matching, same fixed vertices.
+TEST(LpReductionTest, CsrPathMatchesEdgeListPath) {
+  for (const auto& [name, g] : ::rpmis::testing::DifferentialGraphs()) {
+    SCOPED_TRACE(name);
+    const Vertex n = g.NumVertices();
+    const std::vector<Edge> edges = g.CollectEdges();
+    const LpReduction csr = SolveLpReduction(g.RawOffsets(), g.RawNeighbors());
+    const LpReduction list = SolveLpReduction(n, edges);
+    EXPECT_EQ(csr.matching, list.matching);
+    EXPECT_EQ(csr.include, list.include);
+    EXPECT_EQ(csr.exclude, list.exclude);
+    EXPECT_EQ(csr.num_include, list.num_include);
+    EXPECT_EQ(csr.num_exclude, list.num_exclude);
+    EXPECT_EQ(csr.num_half, list.num_half);
+
+    std::vector<Edge> cross;
+    for (const auto& [u, v] : edges) {
+      cross.emplace_back(u, v);
+      cross.emplace_back(v, u);
+    }
+    std::vector<Vertex> ml_list, mr_list, ml_csr, mr_csr;
+    EXPECT_EQ(HopcroftKarpMatching(n, n, cross, &ml_list, &mr_list), csr.matching);
+    EXPECT_EQ(HopcroftKarpMatching(n, g.RawOffsets(), g.RawNeighbors(), &ml_csr,
+                                   &mr_csr),
+              csr.matching);
+    EXPECT_EQ(ml_csr, ml_list);
+    EXPECT_EQ(mr_csr, mr_list);
   }
 }
 
