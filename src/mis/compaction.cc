@@ -98,31 +98,4 @@ void CompactCsr(const VertexRenaming& renaming, std::span<const uint64_t> offset
   stats->slots_kept += new_adj->size();
 }
 
-void BuildCompactEdges(const std::vector<std::vector<Vertex>>& adj,
-                       const VertexRenaming& renaming, std::vector<Edge>* edges) {
-  const size_t new_n = renaming.kept.size();
-  std::vector<uint64_t> cursor(new_n + 1, 0);
-  ParallelChunks(0, new_n, kParallelGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const Vertex v = renaming.kept[i];
-      uint64_t count = 0;
-      for (const Vertex w : adj[v]) {
-        if (v < w) ++count;
-      }
-      cursor[i + 1] = count;
-    }
-  });
-  for (size_t i = 1; i <= new_n; ++i) cursor[i] += cursor[i - 1];
-  edges->resize(cursor[new_n]);
-  ParallelChunks(0, new_n, kParallelGrain, [&](size_t lo, size_t hi) {
-    for (size_t i = lo; i < hi; ++i) {
-      const Vertex v = renaming.kept[i];
-      uint64_t pos = cursor[i];
-      for (const Vertex w : adj[v]) {
-        if (v < w) (*edges)[pos++] = {static_cast<Vertex>(i), renaming.to_new[w]};
-      }
-    }
-  });
-}
-
 }  // namespace rpmis

@@ -113,14 +113,6 @@ void CompactCsr(const VertexRenaming& renaming, std::span<const uint64_t> offset
                 std::vector<Vertex>* new_adj,
                 std::vector<uint32_t>* old_slot_to_new, CompactionStats* stats);
 
-/// Emits the renamed edge list {(to_new[v], to_new[w]) : v < w} of a
-/// sorted adjacency-list representation whose lists contain only kept
-/// vertices (the kernelizer's state), exactly as the serial nested loop
-/// over increasing v would, but counted and filled in parallel. Feeds the
-/// kernelizer's LP pass.
-void BuildCompactEdges(const std::vector<std::vector<Vertex>>& adj,
-                       const VertexRenaming& renaming, std::vector<Edge>* edges);
-
 }  // namespace rpmis
 
 #endif  // RPMIS_MIS_COMPACTION_H_

@@ -311,9 +311,18 @@ bool Kernelizer::RunTwinPass() {
 bool Kernelizer::RunLpPass() {
   const VertexRenaming ren = BuildRenaming(alive_);
   const std::vector<Vertex>& ids = ren.kept;
-  std::vector<Edge> edges;
-  BuildCompactEdges(adj_, ren, &edges);
-  const LpReduction lp = SolveLpReduction(static_cast<Vertex>(ids.size()), edges);
+  // The alive lists are sorted and hold only alive vertices, so renaming
+  // them in place gives the alive subgraph's sorted CSR.
+  std::vector<uint64_t> offsets(ids.size() + 1, 0);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    offsets[i + 1] = offsets[i] + adj_[ids[i]].size();
+  }
+  std::vector<Vertex> adj(offsets.back());
+  for (size_t i = 0; i < ids.size(); ++i) {
+    std::transform(adj_[ids[i]].begin(), adj_[ids[i]].end(), adj.begin() + offsets[i],
+                   [&](Vertex w) { return ren.to_new[w]; });
+  }
+  const LpReduction lp = SolveLpReduction(offsets, adj);
   if (lp.num_include == 0 && lp.num_exclude == 0) return false;
   rules_.lp += lp.num_include + lp.num_exclude;
   // Excluding all x=0 vertices isolates the x=1 vertices, which then join

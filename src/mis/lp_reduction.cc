@@ -10,25 +10,6 @@ namespace rpmis {
 
 namespace {
 
-// CSR over the left side of a bipartite graph. `for_each(emit)` lists
-// the cross edges as emit(l, r); each left list keeps listing order.
-struct LeftCsr {
-  std::vector<uint64_t> offsets;
-  std::vector<Vertex> targets;
-};
-
-template <typename ForEach>
-LeftCsr BuildLeftCsr(Vertex left, ForEach for_each) {
-  LeftCsr csr;
-  csr.offsets.assign(static_cast<size_t>(left) + 1, 0);
-  for_each([&](Vertex l, Vertex) { ++csr.offsets[l + 1]; });
-  for (size_t i = 1; i < csr.offsets.size(); ++i) csr.offsets[i] += csr.offsets[i - 1];
-  csr.targets.resize(csr.offsets.back());
-  std::vector<uint64_t> cursor(csr.offsets.begin(), csr.offsets.end() - 1);
-  for_each([&](Vertex l, Vertex r) { csr.targets[cursor[l]++] = r; });
-  return csr;
-}
-
 constexpr uint32_t kInf = std::numeric_limits<uint32_t>::max();
 
 }  // namespace
@@ -177,17 +158,6 @@ uint64_t HopcroftKarpMatching(Vertex right, std::span<const uint64_t> offsets,
   return matching;
 }
 
-uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
-                              std::span<const Edge> cross_edges,
-                              std::vector<Vertex>* match_left,
-                              std::vector<Vertex>* match_right) {
-  const LeftCsr csr = BuildLeftCsr(left, [&](auto emit) {
-    for (const auto& [l, r] : cross_edges) emit(l, r);
-  });
-  return HopcroftKarpMatching(right, csr.offsets, csr.targets, match_left,
-                              match_right);
-}
-
 LpReduction SolveLpReduction(std::span<const uint64_t> offsets,
                              std::span<const Vertex> adj) {
   // The double cover's left CSR is the graph's own: v_L is joined to u_R
@@ -240,18 +210,6 @@ LpReduction SolveLpReduction(std::span<const uint64_t> offsets,
     }
   }
   return out;
-}
-
-LpReduction SolveLpReduction(Vertex n, std::span<const Edge> edges) {
-  // Bipartite double cover: each undirected edge (u, v) becomes the two
-  // cross edges (u_L, v_R) and (v_L, u_R), in that order.
-  const LeftCsr csr = BuildLeftCsr(n, [&](auto emit) {
-    for (const auto& [u, v] : edges) {
-      emit(u, v);
-      emit(v, u);
-    }
-  });
-  return SolveLpReduction(csr.offsets, csr.targets);
 }
 
 LpReduction SolveLpReduction(const Graph& g) {

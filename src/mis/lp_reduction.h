@@ -42,23 +42,12 @@ struct LpReduction {
 LpReduction SolveLpReduction(std::span<const uint64_t> offsets,
                              std::span<const Vertex> adj);
 
-/// Same for the graph (n, edges): each vertex's list holds its edges in
-/// edge-list order (for a sorted u < v list, that is the sorted CSR).
-LpReduction SolveLpReduction(Vertex n, std::span<const Edge> edges);
-
 /// Convenience overload for a whole Graph (its CSR, directly).
 LpReduction SolveLpReduction(const Graph& g);
 
-/// Maximum matching size of a bipartite graph with `left` x `right`
-/// vertices and the given cross edges (first: left id, second: right id).
-/// Exposed for testing and for the upper-bound module.
-uint64_t HopcroftKarpMatching(Vertex left, Vertex right,
-                              std::span<const Edge> cross_edges,
-                              std::vector<Vertex>* match_left = nullptr,
-                              std::vector<Vertex>* match_right = nullptr);
-
-/// Same, with the left side given as a CSR (offsets.size() - 1 left
-/// vertices; targets are right ids).
+/// Maximum matching size of a bipartite graph with `right` right
+/// vertices and its left side given as a CSR (offsets.size() - 1 left
+/// vertices; targets are right ids). Exposed for testing.
 uint64_t HopcroftKarpMatching(Vertex right, std::span<const uint64_t> offsets,
                               std::span<const Vertex> targets,
                               std::vector<Vertex>* match_left = nullptr,

@@ -719,32 +719,31 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
   // The alive subgraph as a CSR, assembled once: the LP prepass runs on
   // it, and it is the core's kernel unless LP fixes some of its vertices.
   // After the dominance prepass deg[v] counts v's alive neighbours, so the
-  // alive vertices with deg > 0 are exactly those with an edge left.
-  const auto alive_csr = [&] {
+  // alive vertices with deg > 0 are exactly those with an edge left. With
+  // LP on, the assembly is timed inside the LP prepass span, so the direct
+  // child spans of `nearlinear` still tile the whole solve.
+  std::optional<obs::TraceSpan> lp_span;
+  if (options.lp_reduction) lp_span.emplace(obs::Trace(), "nearlinear.prepass.lp");
+  KernelCsr kernel;
+  {
     obs::TraceSpan span(obs::Trace(), "nearlinear.kernel_csr");
     std::vector<uint8_t> keep(n);
     for (Vertex v = 0; v < n; ++v) keep[v] = alive[v] && deg[v] > 0;
-    return InducedCsr(g.RawOffsets(), g.RawNeighbors(), keep);
-  };
-  KernelCsr kernel;
-  LpReduction lp;
+    kernel = InducedCsr(g.RawOffsets(), g.RawNeighbors(), keep);
+  }
   // Prepass 2: Nemhauser–Trotter persistency on the alive subgraph.
+  LpReduction lp;
   if (options.lp_reduction) {
-    obs::TraceSpan span(obs::Trace(), "nearlinear.prepass.lp");
-    kernel = alive_csr();
     lp = SolveLpReduction(kernel.offsets, kernel.adj);
     sol.rules.lp = lp.num_include + lp.num_exclude;
   }
+  lp_span.reset();
 
   // The kernel build span also covers the core's reverse index and
   // triangle counts, which its constructor computes.
   std::optional<obs::TraceSpan> build_span(std::in_place, obs::Trace(),
                                            "nearlinear.kernel_build");
-  if (!options.lp_reduction) {
-    kernel = alive_csr();
-  } else if (sol.rules.lp > 0) {
-    kernel = DropLpFixed(kernel, lp, &sol.in_set);
-  }
+  if (sol.rules.lp > 0) kernel = DropLpFixed(kernel, lp, &sol.in_set);
   std::vector<uint8_t> peeled_orig(n, 0);
   NearLinearCore core(std::move(kernel), &sol, &peeled_orig, options.compaction);
   build_span.reset();

@@ -12,31 +12,26 @@ namespace {
 
 TEST(HopcroftKarpTest, PerfectMatchingOnBipartite) {
   // K_{3,3}: matching 3.
-  std::vector<Edge> cross;
-  for (Vertex l = 0; l < 3; ++l) {
-    for (Vertex r = 0; r < 3; ++r) cross.emplace_back(l, r);
-  }
-  EXPECT_EQ(HopcroftKarpMatching(3, 3, cross), 3u);
+  const std::vector<uint64_t> offsets{0, 3, 6, 9};
+  const std::vector<Vertex> targets{0, 1, 2, 0, 1, 2, 0, 1, 2};
+  EXPECT_EQ(HopcroftKarpMatching(3, offsets, targets), 3u);
 }
 
 TEST(HopcroftKarpTest, AugmentingPathNeeded) {
   // Greedy alone can mis-match this: L0-{R0}, L1-{R0,R1}.
-  std::vector<Edge> cross{{1, 0}, {1, 1}, {0, 0}};
+  const std::vector<uint64_t> offsets{0, 1, 3};
+  const std::vector<Vertex> targets{0, 0, 1};
   std::vector<Vertex> ml, mr;
-  EXPECT_EQ(HopcroftKarpMatching(2, 2, cross, &ml, &mr), 2u);
+  EXPECT_EQ(HopcroftKarpMatching(2, offsets, targets, &ml, &mr), 2u);
   EXPECT_EQ(ml[0], 0u);
   EXPECT_EQ(ml[1], 1u);
 }
 
 TEST(HopcroftKarpTest, MatchingIsConsistent) {
+  // A graph's CSR read as the left side of its bipartite double cover.
   Graph g = ErdosRenyiGnm(40, 80, /*seed=*/17);
-  std::vector<Edge> cross;
-  for (const auto& [u, v] : g.CollectEdges()) {
-    cross.emplace_back(u, v);
-    cross.emplace_back(v, u);
-  }
   std::vector<Vertex> ml, mr;
-  HopcroftKarpMatching(40, 40, cross, &ml, &mr);
+  HopcroftKarpMatching(40, g.RawOffsets(), g.RawNeighbors(), &ml, &mr);
   for (Vertex l = 0; l < 40; ++l) {
     if (ml[l] != kInvalidVertex) {
       EXPECT_EQ(mr[ml[l]], l);
@@ -102,35 +97,42 @@ TEST(LpReductionTest, BoundDominatesAlpha) {
   }
 }
 
-// The CSR-driven solve (the graph's CSR is the double cover's left side)
-// against the edge-list path and against Hopcroft–Karp on the explicit
-// interleaved cross-edge list: same matching, same fixed vertices.
-TEST(LpReductionTest, CsrPathMatchesEdgeListPath) {
+// The LP solution certifies itself: x (include = 1, half = 1/2,
+// exclude = 0) is feasible, and a matching M of the double cover bounds
+// every feasible x by Σx <= n - |M|/2 (each matched pair (u_L, v_R) is an
+// edge, so y_u + y_v >= 1 for y = 1 - x, and each vertex is in at most two
+// pairs). Equality with the returned matching proves x optimal.
+TEST(LpReductionTest, SolutionMeetsMatchingBound) {
   for (const auto& [name, g] : ::rpmis::testing::DifferentialGraphs()) {
     SCOPED_TRACE(name);
     const Vertex n = g.NumVertices();
-    const std::vector<Edge> edges = g.CollectEdges();
-    const LpReduction csr = SolveLpReduction(g.RawOffsets(), g.RawNeighbors());
-    const LpReduction list = SolveLpReduction(n, edges);
-    EXPECT_EQ(csr.matching, list.matching);
-    EXPECT_EQ(csr.include, list.include);
-    EXPECT_EQ(csr.exclude, list.exclude);
-    EXPECT_EQ(csr.num_include, list.num_include);
-    EXPECT_EQ(csr.num_exclude, list.num_exclude);
-    EXPECT_EQ(csr.num_half, list.num_half);
-
-    std::vector<Edge> cross;
-    for (const auto& [u, v] : edges) {
-      cross.emplace_back(u, v);
-      cross.emplace_back(v, u);
+    const LpReduction lp = SolveLpReduction(g);
+    EXPECT_EQ(lp.num_include + lp.num_exclude + lp.num_half, n);
+    for (Vertex v = 0; v < n; ++v) {
+      EXPECT_FALSE(lp.include[v] && lp.exclude[v]) << v;
+      for (Vertex w : g.Neighbors(v)) {
+        // x_v + x_w <= 1: an included vertex sees only excluded ones, a
+        // half vertex no included one.
+        if (lp.include[v]) {
+          EXPECT_TRUE(lp.exclude[w]) << v << "->" << w;
+        } else if (!lp.exclude[v]) {
+          EXPECT_FALSE(lp.include[w]) << v << "->" << w;
+        }
+      }
     }
-    std::vector<Vertex> ml_list, mr_list, ml_csr, mr_csr;
-    EXPECT_EQ(HopcroftKarpMatching(n, n, cross, &ml_list, &mr_list), csr.matching);
-    EXPECT_EQ(HopcroftKarpMatching(n, g.RawOffsets(), g.RawNeighbors(), &ml_csr,
-                                   &mr_csr),
-              csr.matching);
-    EXPECT_EQ(ml_csr, ml_list);
-    EXPECT_EQ(mr_csr, mr_list);
+    EXPECT_EQ(2 * lp.num_include + lp.num_half, 2 * uint64_t{n} - lp.matching);
+
+    std::vector<Vertex> ml, mr;
+    EXPECT_EQ(HopcroftKarpMatching(n, g.RawOffsets(), g.RawNeighbors(), &ml, &mr),
+              lp.matching);
+    uint64_t matched = 0;
+    for (Vertex l = 0; l < n; ++l) {
+      if (ml[l] == kInvalidVertex) continue;
+      ++matched;
+      EXPECT_EQ(mr[ml[l]], l);
+      EXPECT_TRUE(g.HasEdge(l, ml[l])) << l << "-" << ml[l];
+    }
+    EXPECT_EQ(matched, lp.matching);
   }
 }
 
