@@ -1,21 +1,28 @@
 // Golden outputs of the solvers and the kernelizer: FNV-1a hashes of
-// BDOne's, BDTwo's and LinearTime's solutions, LinearTime's first-peel
-// KernelSnapshot, and the Kernelizer's kernel, alpha offset and lift of a
-// fixed kernel set. The hashes were recorded while these solvers still
+// BDOne's, BDTwo's and LinearTime's solutions, BDOne's and LinearTime's
+// first-peel KernelSnapshots, and the Kernelizer's kernel, alpha offset and
+// lift of a fixed kernel set. The hashes were recorded while these solvers still
 // rebuilt their working graph mid-run (and did so on the larger graphs
 // here), so they pin the outputs to what every earlier version produced.
 // NearLinear's solution and snapshot are pinned the same way, under its
 // default options and with each prepass and compaction switched off; those
 // hashes were recorded while its set-up still went through edge lists
-// (kernel, LP double cover) and binary-searched reverse slots.
+// (kernel, LP double cover) and binary-searched reverse slots. The
+// DynamicMisEngine's end state after a fixed update stream is pinned too;
+// BDOne's snapshot and the engine pin were recorded while BDOne, LinearTime
+// and NearLinear each had their own peel loop and LinearTime still logged
+// the engine's peel provenance as a rule-by-rule trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "dynamic/engine.h"
+#include "dynamic/update.h"
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "mis/bdone.h"
@@ -123,6 +130,7 @@ uint64_t HashKernelizer(const Kernelizer& k) {
 struct Golden {
   const char* graph;
   uint64_t bdone;
+  uint64_t bdone_snapshot;
   uint64_t bdtwo;
   uint64_t lineartime;
   uint64_t lineartime_snapshot;
@@ -142,43 +150,53 @@ std::vector<std::pair<std::string, Graph>> GoldenGraphs() {
 // Recorded with the mid-run rebuilds on (their default setting).
 constexpr Golden kExpected[] = {
     {"fig1",
-     0x6108bab5e0e62608ull, 0xd3515754cc73b26eull,
+     0x6108bab5e0e62608ull, 0x061d7747e922980bull,
+     0xd3515754cc73b26eull,
      0xd3515754cc73b26eull, 0x057bec519d9a0deaull,
      0x61637a597732f64aull},
     {"fig1mod",
-     0xf1e82b21c76f546full, 0x21ddee9546bb7fecull,
+     0xf1e82b21c76f546full, 0x9b9d532a8f65be67ull,
+     0x21ddee9546bb7fecull,
      0x21ddee9546bb7fecull, 0x9b9d532a8f65be67ull,
      0xd43f64d95f9ecc69ull},
     {"fig2",
-     0xf83075618d53f4c3ull, 0xb80bc3366ad08402ull,
+     0xf83075618d53f4c3ull, 0x9a178ca117b6c97eull,
+     0xb80bc3366ad08402ull,
      0xb80bc3366ad08402ull, 0xa427fd4c5c787de9ull,
      0xc814397b9d79dee0ull},
     {"fig5",
-     0xbfae0d8f07d03b4cull, 0x4ad1a3ca7832b48cull,
+     0xbfae0d8f07d03b4cull, 0x5e2d743ed0f7641bull,
+     0x4ad1a3ca7832b48cull,
      0x9af06b22a0fc12adull, 0xe828bd0d0ef9e0c2ull,
      0xbb009b00fa3f082aull},
     {"er-3k",
-     0x3f2331f8197e3cd0ull, 0x63474d6422696392ull,
+     0x3f2331f8197e3cd0ull, 0x82de5ffe695fb7a8ull,
+     0x63474d6422696392ull,
      0xa967f45422d5a6d6ull, 0x56388768e5d8d24bull,
      0x6efcf0572f8dc4a8ull},
     {"er-sparse",
-     0xb9d8906c47d7ceebull, 0x09d8b8db601f808bull,
+     0xb9d8906c47d7ceebull, 0xb9327781aca76456ull,
+     0x09d8b8db601f808bull,
      0xb9d8906c47d7ceebull, 0xb9327781aca76456ull,
      0x28cc03985f8cfc3full},
     {"powerlaw",
-     0xae45f10c6db15e0full, 0xb633885f832e6d3cull,
+     0xae45f10c6db15e0full, 0xa051b7bd8cae78cbull,
+     0xb633885f832e6d3cull,
      0xbfe99bdd8633a152ull, 0x92307dba61d6795bull,
      0x9be7d2eeebd78497ull},
     {"plcore",
-     0xecc8074fe96a7d8eull, 0x90ba1cef11da812full,
+     0xecc8074fe96a7d8eull, 0xbcdf873498f81232ull,
+     0x90ba1cef11da812full,
      0xf157c0213a8883f8ull, 0x07ab1e3b19060cdfull,
      0x832b84a7a69bc8ebull},
     {"er-20k",
-     0x30b156d5920b1cf4ull, 0x540255ee0f40dda0ull,
+     0x30b156d5920b1cf4ull, 0x2790ce8a1a8a306full,
+     0x540255ee0f40dda0ull,
      0x854b548a2edf7800ull, 0x0f665a005405758full,
      0x10a67ca43f5a4696ull},
     {"plaw-20k",
-     0x2c5bd2c8f8f5ba6cull, 0x1b66ab8a8a91d7ccull,
+     0x2c5bd2c8f8f5ba6cull, 0x14a9d3e4550e55f4ull,
+     0x1b66ab8a8a91d7ccull,
      0x2c5bd2c8f8f5ba6cull, 0x14a9d3e4550e55f4ull,
      0x8e5ba9944cd07acbull},
 };
@@ -192,7 +210,9 @@ TEST(GoldenOutputs, TombstoneSolversAndKernelizer) {
     SCOPED_TRACE(name);
     ASSERT_EQ(name, want.graph);
     Golden got{};
-    got.bdone = HashSolution(RunBDOne(g));
+    KernelSnapshot bdone_snap;
+    got.bdone = HashSolution(RunBDOne(g, &bdone_snap));
+    got.bdone_snapshot = HashSnapshot(bdone_snap);
     got.bdtwo = HashSolution(RunBDTwo(g));
     KernelSnapshot snap;
     got.lineartime = HashSolution(RunLinearTime(g, &snap));
@@ -201,6 +221,7 @@ TEST(GoldenOutputs, TombstoneSolversAndKernelizer) {
     k.Run();
     got.kernelizer = HashKernelizer(k);
     EXPECT_EQ(got.bdone, want.bdone);
+    EXPECT_EQ(got.bdone_snapshot, want.bdone_snapshot);
     EXPECT_EQ(got.bdtwo, want.bdtwo);
     EXPECT_EQ(got.lineartime, want.lineartime);
     EXPECT_EQ(got.lineartime_snapshot, want.lineartime_snapshot);
@@ -312,6 +333,45 @@ TEST(GoldenOutputs, NearLinear) {
       EXPECT_EQ(got.solution, c.want.solution);
       EXPECT_EQ(got.snapshot, c.want.snapshot);
     }
+  }
+}
+
+// DynamicMisEngine end state after a fixed RandomUpdateStream: the
+// maintained set, its size and bound, and the eviction and full re-solve
+// counts. Evictions prefer peeled endpoints, so this pins the peel flags
+// the engine takes from each LinearTime solve.
+struct EngineGolden {
+  const char* graph;
+  uint64_t end_state;
+};
+
+constexpr EngineGolden kEngineExpected[] = {
+    {"er-20k", 0x550fa59f611fcb59ull},
+    {"plaw-20k", 0x5770bc02864e608cull},
+};
+
+TEST(GoldenOutputs, DynamicEngineAfterStream) {
+  const auto graphs = GoldenGraphs();
+  for (const EngineGolden& want : kEngineExpected) {
+    SCOPED_TRACE(want.graph);
+    const auto it = std::find_if(graphs.begin(), graphs.end(), [&](const auto& p) {
+      return p.first == want.graph;
+    });
+    ASSERT_NE(it, graphs.end());
+    const Graph& g = it->second;
+    DynamicMisEngine engine(g);
+    const std::vector<GraphUpdate> stream = RandomUpdateStream(g, 6000, /*seed=*/7);
+    engine.ApplyUpdates(stream);
+    const DynamicStats& stats = engine.stats();
+    EXPECT_GT(stats.evictions, 0u);
+    EXPECT_GT(stats.full_resolves, 0u);
+    Fnv1a h;
+    h.AddAll(std::span<const uint8_t>(engine.Selector()));
+    h.Add(engine.Size());
+    h.Add(engine.UpperBound());
+    h.Add(stats.evictions);
+    h.Add(stats.full_resolves);
+    EXPECT_EQ(h.value(), want.end_state);
   }
 }
 
