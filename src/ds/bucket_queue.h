@@ -11,8 +11,9 @@
 //  * LazyMaxBucketQueue — the paper's optimized variant: singly-linked
 //                         (2n space), entries carry a possibly stale key
 //                         and are sifted down lazily at pop time. Valid
-//                         whenever keys only decrease, which holds for
-//                         BDOne / LinearTime / NearLinear peeling.
+//                         whenever keys only decrease, which holds in the
+//                         reducing-peeling core (mis/peeling_core.h) that
+//                         BDOne, LinearTime and NearLinear share.
 #ifndef RPMIS_DS_BUCKET_QUEUE_H_
 #define RPMIS_DS_BUCKET_QUEUE_H_
 

@@ -24,17 +24,12 @@ namespace {
 
 DynamicMisEngine::DynamicMisEngine(const Graph& g, const DynamicPolicy& policy)
     : policy_(policy), adj_(g) {
-  ReductionTrace trace;
-  LinearTimeOptions opt;
-  if (policy_.record_provenance) opt.trace = &trace;
-  const MisSolution sol = RunLinearTime(g, nullptr, opt);
+  const MisSolution sol = RunLinearTime(g, nullptr, &peeled_);
 
   in_set_ = sol.in_set;
   size_ = sol.size;
   upper_ = sol.UpperBound();
   base_gap_ = sol.residual_peeled;
-  peeled_ = policy_.record_provenance ? trace.PeeledMask(g.NumVertices())
-                                      : std::vector<uint8_t>(g.NumVertices(), 0);
   in_count_.assign(g.NumVertices(), 0);
   seen_.Resize(g.NumVertices());
   sub_id_.assign(g.NumVertices(), kInvalidVertex);
@@ -327,14 +322,9 @@ void DynamicMisEngine::ResolveComponent(std::span<const Vertex> seeds) {
   const Graph sub =
       Graph::FromEdges(static_cast<Vertex>(comp.size()), edges);
 
-  ReductionTrace trace;
-  LinearTimeOptions opt;
-  if (policy_.record_provenance) opt.trace = &trace;
-  const MisSolution sol = RunLinearTime(sub, nullptr, opt);
+  std::vector<uint8_t> sub_peeled;
+  const MisSolution sol = RunLinearTime(sub, nullptr, &sub_peeled);
 
-  const std::vector<uint8_t> sub_peeled =
-      policy_.record_provenance ? trace.PeeledMask(sub.NumVertices())
-                                : std::vector<uint8_t>(sub.NumVertices(), 0);
   for (Vertex v : comp) {
     const Vertex s = sub_id_[v];
     if (in_set_[v]) --size_;
@@ -368,18 +358,12 @@ void DynamicMisEngine::Resolve() {
   {
     obs::TraceSpan solve_span(obs::Trace(), "dynamic.resolve.solve");
     if (policy_.parallel_resolve) {
-      // Parallel component solves cannot share one trace; provenance goes
-      // coarse (everything "exact"), which only shifts eviction tie-breaks.
+      // Component solves run in renamed id spaces; provenance goes coarse
+      // (everything "exact"), which only shifts eviction tie-breaks.
       sol = RunLinearTimePerComponent(g, {.parallel = true});
       peeled.assign(g.NumVertices(), 0);
     } else {
-      ReductionTrace trace;
-      LinearTimeOptions opt;
-      if (policy_.record_provenance) opt.trace = &trace;
-      sol = RunLinearTime(g, nullptr, opt);
-      peeled = policy_.record_provenance
-                   ? trace.PeeledMask(g.NumVertices())
-                   : std::vector<uint8_t>(g.NumVertices(), 0);
+      sol = RunLinearTime(g, nullptr, &peeled);
     }
   }
 

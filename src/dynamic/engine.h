@@ -12,7 +12,7 @@
 //     for the exclusion is gone — the vertex becomes *free* and joins the
 //     repair frontier. The cone of an update is precisely the set of
 //     vertices whose exclusion reasons it invalidated.
-//   * a per-vertex peeled/exact flag from the ReductionTrace, steering
+//   * a per-vertex peeled/exact flag (LinearTime's peel flags), steering
 //     which endpoint is evicted when an inserted edge lands inside the
 //     set (prefer undoing a peel decision over an exact reduction).
 //
@@ -60,8 +60,6 @@ struct DynamicPolicy {
   /// maintained set is identical either way; provenance becomes coarse
   /// (no peel flags), slightly changing later eviction tie-breaks.
   bool parallel_resolve = false;
-  /// Track per-vertex peeled/exact provenance from reduction traces.
-  bool record_provenance = true;
 };
 
 /// Aggregate counters over the engine's lifetime.

@@ -2,12 +2,11 @@
 
 namespace rpmis::internal {
 
-void BuildKernelSnapshot(const std::vector<uint8_t>& alive,
-                         const std::vector<uint32_t>& deg,
+void BuildKernelSnapshot(const std::vector<uint8_t>& in_kernel,
                          const std::vector<uint8_t>& in_set,
                          const std::vector<Edge>& edges,
                          std::span<const DeferredDecision> deferred, KernelSnapshot* out) {
-  const Vertex n = static_cast<Vertex>(alive.size());
+  const Vertex n = static_cast<Vertex>(in_kernel.size());
   out->captured = true;
   out->orig_to_kernel.assign(n, kInvalidVertex);
   out->kernel_to_orig.clear();
@@ -15,7 +14,7 @@ void BuildKernelSnapshot(const std::vector<uint8_t>& alive,
   out->deferred_stack.assign(deferred.begin(), deferred.end());
   for (Vertex v = 0; v < n; ++v) {
     if (in_set[v]) out->included.push_back(v);
-    if (alive[v] && deg[v] > 0) {
+    if (in_kernel[v]) {
       out->orig_to_kernel[v] = static_cast<Vertex>(out->kernel_to_orig.size());
       out->kernel_to_orig.push_back(v);
     }

@@ -1,8 +1,9 @@
 // Internal helper to materialize a KernelSnapshot (§6).
 //
-// Each Reducing-Peeling algorithm knows how to enumerate its surviving
-// edges (BDOne reads the input CSR; LinearTime/NearLinear read their
-// rewired adjacency copies); this helper does the shared renumbering work.
+// The reducing-peeling core (mis/peeling_core.h) enumerates the surviving
+// edges of whatever CSR it walks (BDOne's is the input; LinearTime's and
+// NearLinear's are rewired copies, NearLinear's over renamed ids) and
+// translates them to input ids; this helper does the shared renumbering.
 #ifndef RPMIS_MIS_KERNEL_CAPTURE_H_
 #define RPMIS_MIS_KERNEL_CAPTURE_H_
 
@@ -15,12 +16,11 @@
 namespace rpmis::internal {
 
 /// Builds `out` from the algorithm state at the moment of the first peel.
-/// `alive`/`deg` define kernel membership (alive with positive degree);
-/// `edges` are the surviving edges in original ids; `in_set` gives the
-/// vertices already fixed into I; `deferred` is the deferred-decision
-/// stack so far, in push order.
-void BuildKernelSnapshot(const std::vector<uint8_t>& alive,
-                         const std::vector<uint32_t>& deg,
+/// `in_kernel` flags the kernel's vertices (alive with positive degree);
+/// `edges` are the surviving edges; `in_set` gives the vertices already
+/// fixed into I; `deferred` is the deferred-decision stack so far, in push
+/// order. All ids are input ids.
+void BuildKernelSnapshot(const std::vector<uint8_t>& in_kernel,
                          const std::vector<uint8_t>& in_set,
                          const std::vector<Edge>& edges,
                          std::span<const DeferredDecision> deferred, KernelSnapshot* out);

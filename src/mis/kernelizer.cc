@@ -436,29 +436,4 @@ std::vector<uint8_t> Kernelizer::Lift(const std::vector<uint8_t>& kernel_in_set)
   return out;
 }
 
-void Kernelizer::ExportTrace(ReductionTrace* trace) const {
-  RPMIS_ASSERT(ran_ && trace != nullptr);
-  trace->Clear();
-  trace->Reserve(ops_.size());
-  for (const Op& op : ops_) {
-    switch (op.kind) {
-      case OpKind::kInclude:
-        trace->Append(ReductionRule::kInclude, op.a);
-        break;
-      case OpKind::kExclude:
-        trace->Append(ReductionRule::kExclude, op.a);
-        break;
-      case OpKind::kFold:
-        trace->Append(ReductionRule::kFold, op.a, op.b, op.c);
-        break;
-      case OpKind::kTwinFoldPair:
-        trace->Append(ReductionRule::kTwinFoldPair, op.a, op.b, op.c);
-        break;
-      case OpKind::kTwinFoldMembers:
-        trace->Append(ReductionRule::kTwinFoldMembers, op.a, op.b, op.c);
-        break;
-    }
-  }
-}
-
 }  // namespace rpmis

@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "mis/reduction_trace.h"
 #include "mis/solution.h"
 
 namespace rpmis {
@@ -59,11 +58,6 @@ class Kernelizer {
   /// Lifts an independent set of the kernel to one of the input graph of
   /// size |kernel set| + AlphaOffset().
   std::vector<uint8_t> Lift(const std::vector<uint8_t>& kernel_in_set) const;
-
-  /// Exports the replay log as a ReductionTrace: one event per recorded
-  /// include/exclude/fold op, in application order, in input-graph ids
-  /// (mis/reduction_trace.h documents the mapping).
-  void ExportTrace(ReductionTrace* trace) const;
 
  private:
   enum class OpKind : uint8_t {

@@ -4,13 +4,11 @@
 #include <numeric>
 #include <optional>
 
-#include "ds/bucket_queue.h"
 #include "graph/algorithms.h"
 #include "mis/compaction.h"
-#include "mis/kernel_capture.h"
 #include "mis/lp_reduction.h"
+#include "mis/peeling_core.h"
 #include "obs/obs.h"
-#include "obs/progress.h"
 #include "obs/trace.h"
 #include "support/parallel.h"
 
@@ -155,18 +153,7 @@ uint64_t OnePassDominance(const Graph& g, std::vector<uint8_t>& alive,
   return removed;
 }
 
-uint64_t OnePassDominance(const Graph& g, std::vector<uint8_t>& alive,
-                          std::vector<uint32_t>& deg,
-                          std::vector<uint8_t>& in_set) {
-  DominanceScratch scratch;
-  return OnePassDominance(g, alive, deg, in_set, scratch);
-}
-
 namespace {
-
-// Directed-edge slot index into the flat adjacency array.
-using Slot = uint32_t;
-constexpr Slot kNoSlot = static_cast<Slot>(-1);
 
 // A sorted CSR over a monotone renaming of the input: `to_orig[i]` is the
 // input id of vertex i.
@@ -227,32 +214,26 @@ KernelCsr DropLpFixed(const KernelCsr& kernel, const LpReduction& lp,
   return out;
 }
 
-// The NearLinear main loop, operating on a compact kernel graph (the
-// instance that remains after the exact prepasses). Membership, peel and
-// deferred-path decisions are recorded directly in INPUT ids (via
-// `to_orig_`), which lets the loop rebuild its own vertex universe mid-run
+// NearLinear's main loop: the reducing-peeling core with the path rule and
+// no degree-one worklist (a degree-one vertex dominates its neighbour), plus
+// the per-edge triangle counts δ, the reverse-edge index and the dominance
+// worklist, which the core's hooks keep up to date. It runs on the kernel
+// CSR left by the exact prepasses and records decisions in INPUT ids (via
+// `to_orig_`), which lets it rebuild its own vertex universe mid-run
 // (Compact) without post-hoc translation.
-class NearLinearCore {
+class NearLinearCore : public PeelingCore<kPathRule, NearLinearCore> {
+  using Core = PeelingCore<kPathRule, NearLinearCore>;
+  friend Core;
+
  public:
   // Takes ownership of the kernel CSR (sorted slices) and its id map.
-  NearLinearCore(KernelCsr kernel, MisSolution* sol,
-                 std::vector<uint8_t>* peeled_orig, const CompactionOptions& copts)
-      : sol_(sol),
-        peeled_orig_(peeled_orig),
-        n_(static_cast<Vertex>(kernel.to_orig.size())),
-        to_orig_(std::move(kernel.to_orig)),
-        offsets_(std::move(kernel.offsets)),
-        adj_(std::move(kernel.adj)),
-        alive_(n_, 1),
-        deg_(n_),
+  NearLinearCore(KernelCsr kernel, MisSolution* sol, const CompactionOptions& copts)
+      : Core(std::move(kernel.offsets), std::move(kernel.adj),
+             std::move(kernel.to_orig), sol,
+             {"nearlinear.core", "nearlinear.first_peel"}),
         mark_(n_),
         mark2_(n_),
         policy_(copts, n_) {
-    for (Vertex v = 0; v < n_; ++v) {
-      deg_[v] = static_cast<uint32_t>(offsets_[v + 1] - offsets_[v]);
-      if (deg_[v] > 0) ++active_;
-      if (deg_[v] == 2) v2_.push_back(v);
-    }
     {
       obs::TraceSpan span(obs::Trace(), "nearlinear.reverse_index");
       rev_ = ReverseEdgeIndex(offsets_, adj_);
@@ -263,66 +244,17 @@ class NearLinearCore {
     }
     // Initial dominated set: u dominates v  =>  v is dominated.
     for (Vertex u = 0; u < n_; ++u) {
-      if (deg_[u] == 0) {
-        sol_->in_set[to_orig_[u]] = 1;  // isolated kernel vertex (defensive;
-        ++in_count_;                    // prepasses normally strip these)
-        continue;
-      }
-      for (Slot e = Begin(u); e < End(u); ++e) {
+      for (uint64_t e = Begin(u); e < End(u); ++e) {
         if (delta_[e] == deg_[u] - 1) dominated_.push_back(adj_[e]);
       }
     }
   }
 
-  // Runs to completion.
-  void Run(bool want_capture, KernelSnapshot* capture);
-
-  /// Replays the deferred stack (partners are input-space ids).
-  void ReplayDeferred() { ReplayDeferredStack(deferred_, sol_->in_set); }
-
  private:
-  Slot Begin(Vertex v) const { return static_cast<Slot>(offsets_[v]); }
-  Slot End(Vertex v) const { return static_cast<Slot>(offsets_[v + 1]); }
-
-  // Rewires a's slot holding old_nb to new_nb; returns the slot.
-  Slot Rewire(Vertex a, Vertex old_nb, Vertex new_nb) {
-    for (Slot e = Begin(a); e < End(a); ++e) {
-      if (adj_[e] == old_nb) {
-        adj_[e] = new_nb;
-        return e;
-      }
-    }
-    RPMIS_ASSERT_MSG(false, "rewire target not found");
-    return kNoSlot;
-  }
-
-  Vertex FirstAliveNeighbor(Vertex v) const {
-    for (Slot e = Begin(v); e < End(v); ++e) {
-      if (alive_[adj_[e]]) return adj_[e];
-    }
-    return kInvalidVertex;
-  }
-
-  Vertex OtherAliveNeighbor(Vertex v, Vertex exclude) const {
-    for (Slot e = Begin(v); e < End(v); ++e) {
-      const Vertex w = adj_[e];
-      if (alive_[w] && w != exclude) return w;
-    }
-    return kInvalidVertex;
-  }
-
-  bool HasAliveEdge(Vertex a, Vertex b) const {
-    if (deg_[a] > deg_[b]) std::swap(a, b);
-    for (Slot e = Begin(a); e < End(a); ++e) {
-      if (adj_[e] == b) return alive_[b] != 0;
-    }
-    return false;
-  }
-
   // Screens every alive pair (v, x) incident to v for fresh dominance.
   void RescreenVertex(Vertex v) {
     if (!alive_[v]) return;
-    for (Slot e = Begin(v); e < End(v); ++e) {
+    for (uint64_t e = Begin(v); e < End(v); ++e) {
       const Vertex x = adj_[e];
       if (!alive_[x]) continue;
       if (deg_[v] >= 1 && delta_[e] == deg_[v] - 1) dominated_.push_back(x);
@@ -330,37 +262,18 @@ class NearLinearCore {
     }
   }
 
-  void OnDegreeDecrease(Vertex w) {
-    if (deg_[w] == 2) {
-      v2_.push_back(w);
-    } else if (deg_[w] == 0) {
-      sol_->in_set[to_orig_[w]] = 1;
-      ++in_count_;
-      --active_;
-    }
-    // Degree-one vertices need no explicit worklist: such a vertex
-    // dominates its remaining neighbour, which the rescreen pass enqueues.
-  }
-
-  // Deletes x, maintaining degrees, triangle counts and the dominated set.
-  void DeleteVertex(Vertex x) {
-    RPMIS_DASSERT(alive_[x]);
-    alive_[x] = 0;
-    if (deg_[x] > 0) --active_;
-    // Pass A: collect alive neighbours, update degrees.
-    scratch_nbrs_.clear();
-    for (Slot e = Begin(x); e < End(x); ++e) {
-      const Vertex v = adj_[e];
-      if (!alive_[v]) continue;
-      scratch_nbrs_.push_back(v);
-      --deg_[v];
-      OnDegreeDecrease(v);
-    }
-    // Pass B: every triangle (x, v, w) loses x; decrement δ on (v, w).
+  // Deletion hooks: collect the alive neighbours (pass A is the core's
+  // degree update), then every triangle (x, v, w) loses x, so δ(v, w)
+  // drops (pass B); the neighbours lost a degree, so they may newly
+  // dominate and their two-hop neighbours may newly be dominated (pass C,
+  // §5 discussion). Degree-one vertices need no worklist of their own:
+  // such a vertex dominates its remaining neighbour, which pass C queues.
+  void OnNeighborLost(Vertex v) { scratch_nbrs_.push_back(v); }
+  void AfterDelete(Vertex /*x*/) {
     mark_.Clear();
     for (Vertex v : scratch_nbrs_) mark_.Insert(v);
     for (Vertex v : scratch_nbrs_) {
-      for (Slot e = Begin(v); e < End(v); ++e) {
+      for (uint64_t e = Begin(v); e < End(v); ++e) {
         const Vertex w = adj_[e];
         if (alive_[w] && mark_.Contains(w)) {
           RPMIS_DASSERT(delta_[e] > 0);
@@ -368,53 +281,73 @@ class NearLinearCore {
         }
       }
     }
-    // Pass C: neighbours lost a degree, so they may newly dominate; their
-    // two-hop neighbours may newly be dominated (§5 discussion).
     for (Vertex v : scratch_nbrs_) RescreenVertex(v);
+    scratch_nbrs_.clear();
   }
 
-  void DegreeTwoPathReduction(Vertex u);
+  void BeforeStep(LazyMaxBucketQueue& peel_queue) {
+    if (policy_.ShouldCompact(active_)) Compact(peel_queue);
+  }
+
+  bool ApplyOtherRule() {
+    if (dominated_.empty()) return false;
+    ApplyDominance();
+    return true;
+  }
+
+  // Case 3: the fresh edge (v_1, w) closes no triangle, so δ = 0 on both
+  // slots and no dominance can newly arise (δ = 0 < deg - 1).
+  void OnOddPathRewired(uint64_t e1, uint64_t e2) {
+    delta_[e1] = 0;
+    delta_[e2] = 0;
+    rev_[e1] = static_cast<uint32_t>(e2);
+    rev_[e2] = static_cast<uint32_t>(e1);
+  }
+
+  // Case 4: v and w lost one degree; triangle counts are untouched, so
+  // only their own "dominates a neighbour" status can flip. Case 5: the
+  // fresh edge (v, w) has unchanged degrees; every common neighbour x
+  // gains the triangle (x, v, w), so δ(x,v) and δ(x,w) grow by one.
+  void OnEvenPathRemoved(Vertex v, Vertex w, uint64_t e1, uint64_t e2) {
+    if (e1 != kNoSlot) {
+      rev_[e1] = static_cast<uint32_t>(e2);
+      rev_[e2] = static_cast<uint32_t>(e1);
+      mark_.Clear();
+      for (uint64_t e = Begin(w); e < End(w); ++e) {
+        if (alive_[adj_[e]]) mark_.Insert(adj_[e]);
+      }
+      uint32_t common = 0;
+      mark2_.Clear();
+      for (uint64_t e = Begin(v); e < End(v); ++e) {
+        const Vertex x = adj_[e];
+        if (x == w || !alive_[x] || !mark_.Contains(x)) continue;
+        ++common;
+        ++delta_[e];
+        ++delta_[rev_[e]];
+        mark2_.Insert(x);
+      }
+      for (uint64_t e = Begin(w); e < End(w); ++e) {
+        const Vertex x = adj_[e];
+        if (alive_[x] && mark2_.Contains(x)) {
+          ++delta_[e];
+          ++delta_[rev_[e]];
+        }
+      }
+      delta_[e1] = common;
+      delta_[e2] = common;
+    }
+    RescreenVertex(v);
+    RescreenVertex(w);
+  }
+
   void ApplyDominance();
   void Compact(LazyMaxBucketQueue& peel_queue);
 
-  // Progress-sample snapshot: O(live) edge recount, amortized by the
-  // sampler stride. `in_count_` tracks vertices this core decided into I;
-  // `in_base_` is what the prepasses had decided before the core started.
-  void SampleProgress(obs::ProgressSampler* ps) {
-    uint64_t deg_sum = 0;
-    for (Vertex v = 0; v < n_; ++v) {
-      if (alive_[v]) deg_sum += deg_[v];
-    }
-    obs::ProgressSample s;
-    s.live_vertices = active_;
-    s.live_edges = deg_sum / 2;
-    s.solution_size = in_base_ + in_count_;
-    // Crude in-flight bound: everything still live, deferred, or peeled
-    // so far may yet join I (DESIGN.md §8).
-    s.upper_bound =
-        s.solution_size + active_ + deferred_.size() + sol_->rules.peels;
-    s.label = "nearlinear.core";
-    ps->Record(std::move(s));
-  }
-
-  MisSolution* sol_;
-  std::vector<uint8_t>* peeled_orig_;
-  Vertex n_;
-  std::vector<Vertex> to_orig_;  // current id -> input id
-  std::vector<uint64_t> offsets_;
-  std::vector<Vertex> adj_;
   std::vector<uint32_t> delta_;
   std::vector<uint32_t> rev_;
-  std::vector<uint8_t> alive_;
-  std::vector<uint32_t> deg_;
-  std::vector<Vertex> v2_;
   std::vector<Vertex> dominated_;
-  std::vector<DeferredDecision> deferred_;  // input-space ids
   std::vector<Vertex> scratch_nbrs_;
   FastSet mark_, mark2_;
-  Vertex active_ = 0;  // # vertices with alive && deg > 0
-  uint64_t in_base_ = 0;   // |I| decided before the core started
-  uint64_t in_count_ = 0;  // vertices this core added to I
   CompactionPolicy policy_;
 };
 
@@ -423,7 +356,7 @@ void NearLinearCore::ApplyDominance() {
   dominated_.pop_back();
   if (!alive_[u] || deg_[u] == 0) return;
   // Re-verify: u may no longer be dominated (mutual dominance, §A.3).
-  for (Slot e = Begin(u); e < End(u); ++e) {
+  for (uint64_t e = Begin(u); e < End(u); ++e) {
     const Vertex v = adj_[e];
     if (!alive_[v]) continue;
     if (delta_[e] == deg_[v] - 1) {
@@ -432,137 +365,6 @@ void NearLinearCore::ApplyDominance() {
       ++sol_->rules.dominance;
       return;
     }
-  }
-}
-
-void NearLinearCore::DegreeTwoPathReduction(Vertex u) {
-  Vertex start[2];
-  start[0] = FirstAliveNeighbor(u);
-  start[1] = OtherAliveNeighbor(u, start[0]);
-  RPMIS_DASSERT(start[0] != kInvalidVertex && start[1] != kInvalidVertex);
-  std::vector<Vertex> side[2];
-  bool is_cycle = false;
-  Vertex attach[2] = {kInvalidVertex, kInvalidVertex};
-  for (int dir = 0; dir < 2 && !is_cycle; ++dir) {
-    Vertex prev = u;
-    Vertex cur = start[dir];
-    while (deg_[cur] == 2) {
-      if (cur == u) {
-        is_cycle = true;
-        break;
-      }
-      side[dir].push_back(cur);
-      const Vertex next = OtherAliveNeighbor(cur, prev);
-      RPMIS_DASSERT(next != kInvalidVertex);
-      prev = cur;
-      cur = next;
-    }
-    if (!is_cycle) attach[dir] = cur;
-  }
-
-  if (is_cycle) {
-    ++sol_->rules.degree_two_path;
-    DeleteVertex(u);
-    return;
-  }
-
-  std::vector<Vertex> path;
-  path.reserve(side[0].size() + side[1].size() + 1);
-  for (size_t i = side[1].size(); i-- > 0;) path.push_back(side[1][i]);
-  path.push_back(u);
-  path.insert(path.end(), side[0].begin(), side[0].end());
-  const Vertex v = attach[1];
-  const Vertex w = attach[0];
-  const size_t l = path.size();
-
-  if (v == w) {
-    ++sol_->rules.degree_two_path;  // Case 1
-    DeleteVertex(v);
-    return;
-  }
-  const bool vw_edge = HasAliveEdge(v, w);
-  if (l % 2 == 1) {
-    if (vw_edge) {
-      ++sol_->rules.degree_two_path;  // Case 2
-      DeleteVertex(v);
-      if (alive_[w]) DeleteVertex(w);
-      return;
-    }
-    if (l == 1) return;  // not applicable (Appendix A.2); checked once
-    // Case 3: keep v_1, drop v_2..v_l, rewire (v_1, w) with δ = 0.
-    ++sol_->rules.degree_two_path;
-    for (size_t i = l; i-- > 1;) {
-      deferred_.push_back({to_orig_[path[i]], to_orig_[path[i - 1]],
-                           i + 1 < l ? to_orig_[path[i + 1]] : to_orig_[w]});
-    }
-    for (size_t i = 1; i < l; ++i) {
-      alive_[path[i]] = 0;
-      deg_[path[i]] = 0;
-      --active_;
-    }
-    const Slot e1 = Rewire(path[0], path[1], w);
-    const Slot e2 = Rewire(w, path[l - 1], path[0]);
-    delta_[e1] = 0;
-    delta_[e2] = 0;
-    rev_[e1] = e2;
-    rev_[e2] = e1;
-    // Degrees of v_1 and w unchanged; no dominance can newly arise
-    // (both endpoints of the fresh edge keep δ = 0 < deg - 1).
-    return;
-  }
-  // Even path: drop all of it.
-  ++sol_->rules.degree_two_path;
-  for (size_t i = l; i-- > 0;) {
-    deferred_.push_back({to_orig_[path[i]],
-                         i > 0 ? to_orig_[path[i - 1]] : to_orig_[v],
-                         i + 1 < l ? to_orig_[path[i + 1]] : to_orig_[w]});
-  }
-  for (size_t i = 0; i < l; ++i) {
-    alive_[path[i]] = 0;
-    deg_[path[i]] = 0;
-    --active_;
-  }
-  if (vw_edge) {
-    // Case 4: v and w lose one degree; triangle counts are untouched, so
-    // only their own "dominates a neighbour" status can flip.
-    for (Vertex x : {v, w}) {
-      --deg_[x];
-      OnDegreeDecrease(x);
-    }
-    RescreenVertex(v);
-    RescreenVertex(w);
-  } else {
-    // Case 5: rewire (v, w); degrees unchanged; every common neighbour x
-    // gains the triangles (x, v, w), so δ(x,v) and δ(x,w) grow by one.
-    const Slot e1 = Rewire(v, path[0], w);
-    const Slot e2 = Rewire(w, path[l - 1], v);
-    rev_[e1] = e2;
-    rev_[e2] = e1;
-    mark_.Clear();
-    for (Slot e = Begin(w); e < End(w); ++e) {
-      if (alive_[adj_[e]]) mark_.Insert(adj_[e]);
-    }
-    uint32_t common = 0;
-    mark2_.Clear();
-    for (Slot e = Begin(v); e < End(v); ++e) {
-      const Vertex x = adj_[e];
-      if (x == w || !alive_[x] || !mark_.Contains(x)) continue;
-      ++common;
-      ++delta_[e];
-      ++delta_[rev_[e]];
-      mark2_.Insert(x);
-    }
-    for (Slot e = Begin(w); e < End(w); ++e) {
-      const Vertex x = adj_[e];
-      if (alive_[x] && mark2_.Contains(x)) {
-        ++delta_[e];
-        ++delta_[rev_[e]];
-      }
-    }
-    delta_[e1] = common;
-    delta_[e2] = common;
-    RescreenVertex(v);
-    RescreenVertex(w);
   }
 }
 
@@ -596,8 +398,7 @@ void NearLinearCore::Compact(LazyMaxBucketQueue& peel_queue) {
       new_rev[slot_map[s]] = slot_map[rev_[s]];
     }
   }
-  offsets_ = std::move(new_offsets);
-  adj_ = std::move(new_adj);
+  AdoptCsr(std::move(new_offsets), std::move(new_adj));
   delta_ = std::move(new_delta);
   rev_ = std::move(new_rev);
   std::vector<uint32_t> new_deg(new_n);
@@ -612,81 +413,6 @@ void NearLinearCore::Compact(LazyMaxBucketQueue& peel_queue) {
   mark2_.Resize(new_n);
   n_ = new_n;
   policy_.NoteRebuild(new_n);
-}
-
-void NearLinearCore::Run(bool want_capture, KernelSnapshot* capture) {
-  obs::TraceSpan core_span(obs::Trace(), "nearlinear.core");
-  if (obs::Progress() != nullptr) {
-    // Baseline |I| for progress samples: prepass decisions, minus what the
-    // constructor already attributed to this core.
-    uint64_t total = 0;
-    for (uint8_t f : sol_->in_set) total += f;
-    in_base_ = total - in_count_;
-  }
-  std::vector<uint32_t> keys(deg_.begin(), deg_.end());
-  LazyMaxBucketQueue peel_queue(keys);
-  bool peeled_yet = false;
-
-  auto capture_now = [&]() {
-    if (!want_capture) return;
-    // Translate the kernel-space state into input ids and snapshot.
-    const Vertex n_orig = static_cast<Vertex>(sol_->in_set.size());
-    std::vector<uint8_t> alive_o(n_orig, 0);
-    std::vector<uint32_t> deg_o(n_orig, 0);
-    for (Vertex k = 0; k < n_; ++k) {
-      const Vertex o = to_orig_[k];
-      alive_o[o] = alive_[k];
-      deg_o[o] = deg_[k];
-    }
-    std::vector<Edge> edges;
-    for (Vertex a = 0; a < n_; ++a) {
-      if (!alive_[a] || deg_[a] == 0) continue;
-      for (Slot e = Begin(a); e < End(a); ++e) {
-        const Vertex b = adj_[e];
-        if (a < b && alive_[b] && deg_[b] > 0) {
-          edges.emplace_back(to_orig_[a], to_orig_[b]);
-        }
-      }
-    }
-    internal::BuildKernelSnapshot(alive_o, deg_o, sol_->in_set, edges,
-                                  deferred_, capture);
-  };
-
-  while (true) {
-    if (auto* ps = obs::Progress(); ps != nullptr && ps->Due()) {
-      SampleProgress(ps);
-    }
-    if (policy_.ShouldCompact(active_)) Compact(peel_queue);
-    if (!v2_.empty()) {
-      const Vertex u = v2_.back();
-      v2_.pop_back();
-      if (!alive_[u] || deg_[u] != 2) continue;
-      DegreeTwoPathReduction(u);
-      continue;
-    }
-    if (!dominated_.empty()) {
-      ApplyDominance();
-      continue;
-    }
-    const Vertex u = peel_queue.PopMax(
-        [&](Vertex x) { return deg_[x]; },
-        [&](Vertex x) { return alive_[x] && deg_[x] >= 2; });
-    if (u == kInvalidVertex) break;
-    if (!peeled_yet) {
-      peeled_yet = true;
-      if (auto* t = obs::Trace()) t->Instant("nearlinear.first_peel");
-      sol_->kernel_vertices = active_;
-      for (Vertex x = 0; x < n_; ++x) {
-        if (alive_[x]) sol_->kernel_edges += deg_[x];
-      }
-      sol_->kernel_edges /= 2;
-      capture_now();
-    }
-    (*peeled_orig_)[to_orig_[u]] = 1;
-    ++sol_->rules.peels;
-    DeleteVertex(u);
-  }
-  if (!peeled_yet) capture_now();
 }
 
 }  // namespace
@@ -744,16 +470,14 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
   std::optional<obs::TraceSpan> build_span(std::in_place, obs::Trace(),
                                            "nearlinear.kernel_build");
   if (sol.rules.lp > 0) kernel = DropLpFixed(kernel, lp, &sol.in_set);
-  std::vector<uint8_t> peeled_orig(n, 0);
-  NearLinearCore core(std::move(kernel), &sol, &peeled_orig, options.compaction);
+  NearLinearCore core(std::move(kernel), &sol, options.compaction);
   build_span.reset();
-  core.Run(capture != nullptr, capture);
+  core.Run(capture);
 
   // Deferred path decisions are recorded in input ids, so they replay
   // directly against the final membership flags.
   obs::TraceSpan finalize_span(obs::Trace(), "nearlinear.finalize");
-  core.ReplayDeferred();
-  FinalizeSolution(g, peeled_orig, &sol);
+  core.Finish(g);
   return sol;
 }
 

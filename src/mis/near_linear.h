@@ -43,10 +43,10 @@ MisSolution RunNearLinearPerComponent(const Graph& g,
                                       const PerComponentOptions& opts = {},
                                       const NearLinearOptions& options = {});
 
-/// Reusable scratch for OnePassDominance: the degree-order buffers plus the
+/// Scratch for OnePassDominance: the degree-order buffers plus the
 /// per-thread mark sets of the parallel screening pass. A caller that runs
-/// the prepass repeatedly (the kernelizer, per-component sweeps) passes the
-/// same object each time and pays the allocations once.
+/// the prepass more than once can pass the same object each time and pay
+/// the allocations once.
 struct DominanceScratch {
   std::vector<Vertex> order;
   std::vector<uint32_t> bucket;
@@ -60,7 +60,7 @@ struct DominanceScratch {
 /// decreasing degree order and deletes every vertex dominated by a
 /// (not-larger-degree) neighbour. `alive` and `deg` are updated in place;
 /// vertices whose degree reaches zero are flagged in `in_set`. Returns the
-/// number of deletions. Exposed for tests and the kernelizer.
+/// number of deletions. Exposed for tests.
 ///
 /// Runs the screening phase on NumThreads() threads in blocks, then
 /// finalizes each block serially in order; the result is byte-identical to
@@ -69,11 +69,6 @@ uint64_t OnePassDominance(const Graph& g, std::vector<uint8_t>& alive,
                           std::vector<uint32_t>& deg,
                           std::vector<uint8_t>& in_set,
                           DominanceScratch& scratch);
-
-/// Convenience overload with private scratch (allocates every call).
-uint64_t OnePassDominance(const Graph& g, std::vector<uint8_t>& alive,
-                          std::vector<uint32_t>& deg,
-                          std::vector<uint8_t>& in_set);
 
 }  // namespace rpmis
 

@@ -10,6 +10,7 @@
 
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "exact/brute_force.h"
 #include "exact/vc_solver.h"
@@ -234,6 +235,29 @@ TEST(ReducingPeelingExactness, CertificatesHoldOnMidSizeRandom) {
       }
     }
   }
+}
+
+// LinearTime's peel flags (the dynamic engine's eviction provenance):
+// asking for them must not perturb the solve, and they mark exactly the
+// peeled vertices F.
+TEST(LinearTimePeelFlags, PassingThemDoesNotChangeTheSolution) {
+  const Graph g = ChungLuPowerLaw(3000, 2.5, 6.0, /*seed=*/5);
+  const MisSolution plain = RunLinearTime(g);
+  std::vector<uint8_t> peeled;
+  const MisSolution flagged = RunLinearTime(g, nullptr, &peeled);
+  EXPECT_EQ(plain.size, flagged.size);
+  EXPECT_EQ(plain.in_set, flagged.in_set);
+  EXPECT_EQ(peeled.size(), g.NumVertices());
+}
+
+TEST(LinearTimePeelFlags, CountMatchesPeelCounter) {
+  const Graph g = ErdosRenyiGnp(1000, 8.0 / 1000.0, /*seed=*/3);
+  std::vector<uint8_t> peeled;
+  const MisSolution sol = RunLinearTime(g, nullptr, &peeled);
+  ASSERT_GT(sol.rules.peels, 0u);  // dense enough that peeling fires
+  uint64_t flagged = 0;
+  for (uint8_t f : peeled) flagged += f;
+  EXPECT_EQ(flagged, sol.rules.peels);
 }
 
 }  // namespace
