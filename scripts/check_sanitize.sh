@@ -1,8 +1,8 @@
 #!/bin/sh
 # Configures a dedicated build tree with AddressSanitizer + UBSan enabled
 # (the RPMIS_SANITIZE CMake option) and runs the full ctest suite in it.
-# The raw-buffer parsers and the threaded CSR build are the code these
-# checks exist for. Override the sanitizer list with, e.g.:
+# The raw-buffer parsers and the threaded edge-list scan are the code
+# these checks exist for. Override the sanitizer list with, e.g.:
 #   RPMIS_SANITIZE=thread scripts/check_sanitize.sh
 # For a focused TSan pass over the component-parallel solve path with
 # RPMIS_THREADS pinned to 8, use scripts/check_tsan_components.sh.

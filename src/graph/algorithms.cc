@@ -173,14 +173,6 @@ std::vector<uint32_t> EdgeTriangleCounts(const Graph& g) {
   return EdgeTriangleCounts(g.RawOffsets(), g.RawNeighbors(), rev);
 }
 
-uint64_t CountTriangles(const Graph& g) {
-  const std::vector<uint32_t> delta = EdgeTriangleCounts(g);
-  uint64_t total = 0;
-  for (uint32_t d : delta) total += d;
-  // Each triangle is counted once per directed edge of its three edges.
-  return total / 6;
-}
-
 CoreDecomposition ComputeCores(const Graph& g) {
   const Vertex n = g.NumVertices();
   CoreDecomposition out;
@@ -219,23 +211,6 @@ DegreeStats ComputeDegreeStats(const Graph& g) {
   }
   s.avg_degree = g.AverageDegree();
   return s;
-}
-
-std::vector<uint64_t> DegreeHistogram(const Graph& g) {
-  std::vector<uint64_t> histogram(g.NumVertices() == 0 ? 0 : g.MaxDegree() + 1, 0);
-  for (Vertex v = 0; v < g.NumVertices(); ++v) ++histogram[g.Degree(v)];
-  return histogram;
-}
-
-double GlobalClusteringCoefficient(const Graph& g) {
-  uint64_t wedges = 0;
-  for (Vertex v = 0; v < g.NumVertices(); ++v) {
-    const uint64_t d = g.Degree(v);
-    wedges += d * (d - 1) / 2;
-  }
-  if (wedges == 0) return 0.0;
-  return 3.0 * static_cast<double>(CountTriangles(g)) /
-         static_cast<double>(wedges);
 }
 
 }  // namespace rpmis

@@ -103,9 +103,6 @@ std::vector<uint32_t> EdgeTriangleCounts(std::span<const uint64_t> offsets,
 /// Same, for a Graph (computes the reverse index itself).
 std::vector<uint32_t> EdgeTriangleCounts(const Graph& g);
 
-/// Total number of triangles in the graph.
-uint64_t CountTriangles(const Graph& g);
-
 /// Core decomposition by min-degree peeling.
 struct CoreDecomposition {
   std::vector<uint32_t> core;   // core number per vertex
@@ -125,15 +122,6 @@ struct DegreeStats {
 };
 
 DegreeStats ComputeDegreeStats(const Graph& g);
-
-/// Degree histogram: result[d] = number of vertices with degree d
-/// (size = max degree + 1; empty for the empty graph).
-std::vector<uint64_t> DegreeHistogram(const Graph& g);
-
-/// Global clustering coefficient: 3 * #triangles / #wedges (0 if the
-/// graph has no wedge). Planted-core instances have visibly higher values
-/// than pure Chung-Lu graphs — the structure dominance feeds on.
-double GlobalClusteringCoefficient(const Graph& g);
 
 }  // namespace rpmis
 

@@ -1,28 +1,10 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
-
-#include "support/parallel.h"
 
 namespace rpmis {
 
-namespace {
-
-// Below this size the fixed costs of the parallel build (thread spawns,
-// two atomic arrays) exceed any possible win.
-constexpr size_t kParallelEdgeThreshold = 1 << 15;
-
-}  // namespace
-
 Graph Graph::FromEdges(Vertex n, std::span<const Edge> edges) {
-  if (edges.size() >= kParallelEdgeThreshold && n > 0 && NumThreads() > 1) {
-    return FromEdgesParallel(n, edges);
-  }
-  return FromEdgesSerial(n, edges);
-}
-
-Graph Graph::FromEdgesSerial(Vertex n, std::span<const Edge> edges) {
   Graph g;
   g.offsets_.assign(static_cast<size_t>(n) + 1, 0);
 
@@ -68,89 +50,6 @@ Graph Graph::FromEdgesSerial(Vertex n, std::span<const Edge> edges) {
   new_offsets[n] = write;
   g.neighbors_.resize(write);
   g.neighbors_.shrink_to_fit();
-  g.offsets_ = std::move(new_offsets);
-  return g;
-}
-
-Graph Graph::FromEdgesParallel(Vertex n, std::span<const Edge> edges) {
-  constexpr size_t kEdgeGrain = 1 << 16;
-  constexpr size_t kVertexGrain = 1 << 14;
-  const size_t num_vertices = n;
-
-  // Pass 1: directed degrees. Relaxed atomics suffice — counts are only
-  // combined at the ParallelChunks join, which is a full barrier.
-  std::vector<std::atomic<uint64_t>> degree(num_vertices);
-  ParallelChunks(0, edges.size(), kEdgeGrain, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      const auto& [u, v] = edges[i];
-      RPMIS_ASSERT(u < n && v < n);
-      if (u == v) continue;
-      degree[u].fetch_add(1, std::memory_order_relaxed);
-      degree[v].fetch_add(1, std::memory_order_relaxed);
-    }
-  });
-
-  Graph g;
-  g.offsets_.resize(num_vertices + 1);
-  g.offsets_[0] = 0;
-  for (size_t v = 0; v < num_vertices; ++v) {
-    g.offsets_[v + 1] = g.offsets_[v] + degree[v].load(std::memory_order_relaxed);
-  }
-
-  // Pass 2: placement. Slots within one vertex's slice are claimed in
-  // scheduling order, so the raw slice content is nondeterministic — the
-  // sort below canonicalizes it (entries are plain vertex ids, so equal
-  // elements are indistinguishable and the final CSR is unique).
-  std::vector<std::atomic<uint64_t>> cursor(num_vertices);
-  ParallelChunks(0, num_vertices, kVertexGrain, [&](size_t b, size_t e) {
-    for (size_t v = b; v < e; ++v) {
-      cursor[v].store(g.offsets_[v], std::memory_order_relaxed);
-    }
-  });
-  g.neighbors_.resize(g.offsets_.back());
-  ParallelChunks(0, edges.size(), kEdgeGrain, [&](size_t b, size_t e) {
-    for (size_t i = b; i < e; ++i) {
-      const auto& [u, v] = edges[i];
-      if (u == v) continue;
-      g.neighbors_[cursor[u].fetch_add(1, std::memory_order_relaxed)] = v;
-      g.neighbors_[cursor[v].fetch_add(1, std::memory_order_relaxed)] = u;
-    }
-  });
-
-  // Pass 3: per-vertex sort + dedup in place; unique counts land in the
-  // (repurposed) degree array for the serial prefix sum.
-  ParallelChunks(0, num_vertices, kVertexGrain, [&](size_t b, size_t e) {
-    for (size_t v = b; v < e; ++v) {
-      const uint64_t begin = g.offsets_[v];
-      const uint64_t end = g.offsets_[v + 1];
-      std::sort(g.neighbors_.begin() + begin, g.neighbors_.begin() + end);
-      uint64_t unique_end = begin;
-      for (uint64_t i = begin; i < end; ++i) {
-        if (i == begin || g.neighbors_[i] != g.neighbors_[i - 1]) {
-          g.neighbors_[unique_end++] = g.neighbors_[i];
-        }
-      }
-      degree[v].store(unique_end - begin, std::memory_order_relaxed);
-    }
-  });
-
-  std::vector<uint64_t> new_offsets(num_vertices + 1);
-  new_offsets[0] = 0;
-  for (size_t v = 0; v < num_vertices; ++v) {
-    new_offsets[v + 1] = new_offsets[v] + degree[v].load(std::memory_order_relaxed);
-  }
-
-  // Pass 4: compact the deduplicated slices into their final positions.
-  std::vector<Vertex> compacted(new_offsets.back());
-  ParallelChunks(0, num_vertices, kVertexGrain, [&](size_t b, size_t e) {
-    for (size_t v = b; v < e; ++v) {
-      const uint64_t src = g.offsets_[v];
-      const uint64_t dst = new_offsets[v];
-      const uint64_t len = new_offsets[v + 1] - dst;
-      std::copy_n(g.neighbors_.begin() + src, len, compacted.begin() + dst);
-    }
-  });
-  g.neighbors_ = std::move(compacted);
   g.offsets_ = std::move(new_offsets);
   return g;
 }

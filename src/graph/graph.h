@@ -37,23 +37,12 @@ class Graph {
   Graph() : offsets_(1, 0) {}
 
   /// Builds a graph with `n` vertices from an undirected edge list.
-  /// Self-loops are dropped and duplicate edges collapsed. Dispatches to
-  /// the parallel build for large inputs when NumThreads() > 1; the
-  /// resulting CSR (offsets and neighbour array) is byte-identical to the
-  /// serial build regardless of thread count.
+  /// Self-loops are dropped and duplicate edges collapsed. A single-threaded
+  /// two-pass counting sort, O(n + m), then a per-vertex sort and dedup.
   static Graph FromEdges(Vertex n, std::span<const Edge> edges);
   static Graph FromEdges(Vertex n, const std::vector<Edge>& edges) {
     return FromEdges(n, std::span<const Edge>(edges));
   }
-
-  /// The reference single-threaded two-pass counting-sort build.
-  static Graph FromEdgesSerial(Vertex n, std::span<const Edge> edges);
-
-  /// The multi-threaded build: per-thread degree counting into shared
-  /// atomic counters, prefix-sum placement through atomic cursors, then
-  /// parallel per-vertex sort/dedup/compaction. Safe (and deterministic)
-  /// at any thread count including 1; exposed for tests and benchmarks.
-  static Graph FromEdgesParallel(Vertex n, std::span<const Edge> edges);
 
   /// Adopts an already-normalized CSR: `offsets` has n+1 entries starting
   /// at 0 and ending at neighbors.size(), and every adjacency slice is

@@ -14,7 +14,8 @@
 //     with std::from_chars; the *File readers mmap the input and use
 //     these. The edge-list parser additionally splits the buffer at
 //     newline boundaries and scans chunks in parallel (see
-//     support/parallel.h; thread count via RPMIS_THREADS).
+//     support/parallel.h; thread count via RPMIS_THREADS). The CSR is
+//     then built by the serial Graph::FromEdges.
 // Both paths enforce the same strict grammar (a malformed or
 // trailing-garbage line is an error naming the 1-based line number) and
 // produce identical graphs.

@@ -41,7 +41,10 @@ struct KernelizerOptions {
 /// One-shot kernelization engine. Construct, Run(), then read the kernel.
 class Kernelizer {
  public:
+  /// Keeps a pointer to `g`, which must outlive the Kernelizer; binding a
+  /// temporary graph is rejected at compile time.
   explicit Kernelizer(const Graph& g, const KernelizerOptions& options = {});
+  Kernelizer(Graph&&, const KernelizerOptions& = {}) = delete;
 
   /// Applies all enabled rules to fixpoint.
   void Run();

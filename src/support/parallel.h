@@ -1,9 +1,12 @@
-// Minimal std::thread fan-out used by the ingest fast path and the
-// parallel CSR build.
+// Minimal std::thread fan-out used by the chunked edge-list scan, the
+// Hopcroft–Karp BFS of the LP reduction, the compaction fill and the
+// per-component scheduler. A parallel path is kept only where a
+// measurement shows it wins; the CSR build and the dominance prepass
+// are serial because theirs lost (DESIGN.md §5 and §7).
 //
 // There is deliberately no persistent thread pool: the helpers here wrap
 // coarse, hundreds-of-milliseconds tasks (parsing a multi-megabyte file,
-// sorting millions of adjacency slices), so the cost of spawning a handful
+// one BFS level over millions of vertices), so the cost of spawning a handful
 // of threads per call is noise, and the library stays free of global
 // mutable state. Thread count comes from the RPMIS_THREADS environment
 // variable when set, so benchmark runs and the serial-vs-parallel

@@ -183,11 +183,19 @@ TEST(TriangleCountsTest, MatchesBruteForceOnGraphFamilies) {
   }
 }
 
+// Total triangles: each is counted once per directed edge of its three
+// edges.
+uint64_t TriangleTotal(const Graph& g) {
+  uint64_t total = 0;
+  for (uint32_t d : EdgeTriangleCounts(g)) total += d;
+  return total / 6;
+}
+
 TEST(TriangleCountsTest, TriangleGraph) {
   Graph g = CompleteGraph(3);
   auto delta = EdgeTriangleCounts(g);
   for (uint32_t d : delta) EXPECT_EQ(d, 1u);
-  EXPECT_EQ(CountTriangles(g), 1u);
+  EXPECT_EQ(TriangleTotal(g), 1u);
 }
 
 TEST(TriangleCountsTest, CompleteGraphCounts) {
@@ -195,14 +203,14 @@ TEST(TriangleCountsTest, CompleteGraphCounts) {
   Graph g = CompleteGraph(5);
   auto delta = EdgeTriangleCounts(g);
   for (uint32_t d : delta) EXPECT_EQ(d, 3u);
-  EXPECT_EQ(CountTriangles(g), 10u);
+  EXPECT_EQ(TriangleTotal(g), 10u);
 }
 
 TEST(TriangleCountsTest, TriangleFreeGraph) {
   Graph g = CompleteBipartite(4, 5);
-  EXPECT_EQ(CountTriangles(g), 0u);
+  EXPECT_EQ(TriangleTotal(g), 0u);
   Graph p = PathGraph(20);
-  EXPECT_EQ(CountTriangles(p), 0u);
+  EXPECT_EQ(TriangleTotal(p), 0u);
 }
 
 TEST(TriangleCountsTest, MatchesBruteForceOnRandomGraph) {
@@ -255,36 +263,36 @@ TEST(DegreeStatsTest, Basic) {
   EXPECT_EQ(s.num_degree_le2, 4u);
 }
 
-TEST(DegreeHistogramTest, CountsMatch) {
-  Graph g = StarGraph(5);
-  auto h = DegreeHistogram(g);
-  ASSERT_EQ(h.size(), 6u);
-  EXPECT_EQ(h[1], 5u);
-  EXPECT_EQ(h[5], 1u);
-  uint64_t total = 0;
-  for (uint64_t c : h) total += c;
-  EXPECT_EQ(total, g.NumVertices());
-}
-
 TEST(ClusteringTest, Extremes) {
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(CompleteGraph(6)), 1.0);
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(CompleteBipartite(3, 4)), 0.0);
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(PathGraph(5)), 0.0);
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(Graph()), 0.0);
+  // A clique closes every wedge: δ(u,v) = d(u) - 1 on every edge. A
+  // bipartite graph or a path closes none.
+  const Graph clique = CompleteGraph(6);
+  for (uint32_t d : EdgeTriangleCounts(clique)) EXPECT_EQ(d, 4u);
+  for (const Graph& open : {CompleteBipartite(3, 4), PathGraph(5)}) {
+    for (uint32_t d : EdgeTriangleCounts(open)) EXPECT_EQ(d, 0u);
+  }
+  EXPECT_TRUE(EdgeTriangleCounts(Graph()).empty());
 }
 
 TEST(ClusteringTest, TriangleWithTail) {
-  // Triangle + pendant: 1 triangle, wedges = 1+1+3+0 = 5 -> 3/5.
+  // Triangle + pendant: the triangle's edges lie on one triangle each, the
+  // pendant edge on none.
   Graph g = Graph::FromEdges(4, std::vector<Edge>{{0, 1}, {1, 2}, {0, 2}, {2, 3}});
-  EXPECT_DOUBLE_EQ(GlobalClusteringCoefficient(g), 3.0 / 5.0);
+  const std::vector<uint32_t> delta = EdgeTriangleCounts(g);
+  for (Vertex u = 0; u < g.NumVertices(); ++u) {
+    for (uint64_t e = g.EdgeBegin(u); e < g.EdgeEnd(u); ++e) {
+      const bool tail = u == 3 || g.EdgeTarget(e) == 3;
+      EXPECT_EQ(delta[e], tail ? 0u : 1u) << u << "-" << g.EdgeTarget(e);
+    }
+  }
 }
 
 TEST(ClusteringTest, PlantedCoreAddsTriangles) {
-  // The global coefficient is dominated by hub wedges, so compare raw
-  // triangle counts: the planted cliques must add a visible surplus.
+  // The planted cliques must add a visible triangle surplus over the pure
+  // Chung-Lu graph.
   Graph pure = ChungLuPowerLaw(20000, 2.1, 6.0, 3);
   Graph cored = PowerLawWithCore(20000, 2.1, 6.0, 4000, 6.0, 3);
-  EXPECT_GT(CountTriangles(cored), CountTriangles(pure) + 500);
+  EXPECT_GT(TriangleTotal(cored), TriangleTotal(pure) + 500);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Compaction-engine tests: renaming primitives, byte-identical
 // differential runs of NearLinear (compaction on at several thresholds vs
-// off), serial-vs-parallel OnePassDominance equivalence, and the O(n + m)
-// total-work regression guarding against quadratic re-mapping. The other
-// solvers never compact; golden_outputs_test pins their outputs.
+// off), serial-vs-parallel equivalence of the LP prepass and of NearLinear
+// end to end, and the O(n + m) total-work regression guarding against
+// quadratic re-mapping. The other solvers never compact;
+// golden_outputs_test pins their outputs.
 #include "mis/compaction.h"
 
 #include <gtest/gtest.h>
@@ -187,49 +188,8 @@ TEST(CompactionDifferential, NearLinearCoreOnly) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial-vs-parallel OnePassDominance and the LP prepass (its parallel
-// Hopcroft–Karp BFS) must be byte-identical at any thread count.
-
-struct DominanceRun {
-  std::vector<uint8_t> alive;
-  std::vector<uint32_t> deg;
-  std::vector<uint8_t> in_set;
-  uint64_t removed = 0;
-};
-
-DominanceRun RunDominance(const Graph& g) {
-  DominanceRun r;
-  const Vertex n = g.NumVertices();
-  r.alive.assign(n, 1);
-  r.deg.resize(n);
-  r.in_set.assign(n, 0);
-  for (Vertex v = 0; v < n; ++v) r.deg[v] = g.Degree(v);
-  DominanceScratch scratch;
-  r.removed = OnePassDominance(g, r.alive, r.deg, r.in_set, scratch);
-  return r;
-}
-
-TEST(ParallelDominance, ByteIdenticalAcrossThreadCounts) {
-  const Graph graphs[] = {ErdosRenyiGnm(6000, 30000, 3),
-                          ChungLuPowerLaw(8000, 2.5, 8.0, 5),
-                          PowerLawWithCore(5000, 2.5, 6.0, 200, 20.0, 9)};
-  for (const Graph& g : graphs) {
-    DominanceRun serial;
-    {
-      ScopedThreads pin("1");
-      serial = RunDominance(g);
-    }
-    EXPECT_GT(serial.removed, 0u);
-    for (const char* threads : {"2", "8"}) {
-      ScopedThreads pin(threads);
-      const DominanceRun parallel = RunDominance(g);
-      EXPECT_EQ(parallel.removed, serial.removed) << threads;
-      EXPECT_EQ(parallel.alive, serial.alive) << threads;
-      EXPECT_EQ(parallel.deg, serial.deg) << threads;
-      EXPECT_EQ(parallel.in_set, serial.in_set) << threads;
-    }
-  }
-}
+// The LP prepass (its parallel Hopcroft–Karp BFS), and NearLinear end to
+// end through it, must be byte-identical at any thread count.
 
 TEST(ParallelLpReduction, ByteIdenticalAcrossThreadCounts) {
   // Parallel level-synchronous BFS inside Hopcroft–Karp must leave every
@@ -255,27 +215,6 @@ TEST(ParallelLpReduction, ByteIdenticalAcrossThreadCounts) {
       EXPECT_EQ(parallel.num_exclude, serial.num_exclude) << threads;
       EXPECT_EQ(parallel.num_half, serial.num_half) << threads;
     }
-  }
-}
-
-TEST(ParallelDominance, ScratchReuseAcrossInstances) {
-  // One scratch across differently-sized graphs must not change results.
-  DominanceScratch scratch;
-  const Graph big = ErdosRenyiGnm(4000, 16000, 21);
-  const Graph small = ErdosRenyiGnm(500, 2000, 23);
-  for (const Graph* g : {&big, &small, &big}) {
-    DominanceRun fresh = RunDominance(*g);
-    DominanceRun reused;
-    const Vertex n = g->NumVertices();
-    reused.alive.assign(n, 1);
-    reused.deg.resize(n);
-    reused.in_set.assign(n, 0);
-    for (Vertex v = 0; v < n; ++v) reused.deg[v] = g->Degree(v);
-    reused.removed =
-        OnePassDominance(*g, reused.alive, reused.deg, reused.in_set, scratch);
-    EXPECT_EQ(reused.removed, fresh.removed);
-    EXPECT_EQ(reused.alive, fresh.alive);
-    EXPECT_EQ(reused.in_set, fresh.in_set);
   }
 }
 

@@ -31,10 +31,11 @@ void CheckExactness(const Graph& g, const KernelizerOptions& opts) {
 }
 
 TEST(KernelizerTest, SolvesTreesCompletely) {
-  Kernelizer kern(BinaryTree(31));
+  const Graph tree = BinaryTree(31);
+  Kernelizer kern(tree);
   kern.Run();
   EXPECT_EQ(kern.Kernel().NumVertices(), 0u);
-  EXPECT_EQ(kern.AlphaOffset(), BruteForceAlpha(BinaryTree(31)));
+  EXPECT_EQ(kern.AlphaOffset(), BruteForceAlpha(tree));
 }
 
 TEST(KernelizerTest, PaperFigures) {
@@ -90,7 +91,8 @@ TEST(KernelizerTest, FoldChainResolvesCorrectly) {
 
 TEST(KernelizerTest, CliqueKernelIsReduced) {
   // K6: the dominance rule alone collapses a clique to one vertex.
-  Kernelizer kern(CompleteGraph(6));
+  const Graph clique = CompleteGraph(6);
+  Kernelizer kern(clique);
   kern.Run();
   EXPECT_EQ(kern.AlphaOffset() + BruteForceAlpha(kern.Kernel()), 1u);
 }
@@ -98,7 +100,8 @@ TEST(KernelizerTest, CliqueKernelIsReduced) {
 TEST(KernelizerTest, Theorem31GadgetFullyKernelized) {
   // The gadget is built from degree-1/2-reducible structure; the full rule
   // set should leave (at most) a trivial kernel.
-  Kernelizer kern(Theorem31Gadget(16));
+  const Graph gadget = Theorem31Gadget(16);
+  Kernelizer kern(gadget);
   kern.Run();
   EXPECT_LE(kern.Kernel().NumVertices(), 8u);
 }

@@ -1,19 +1,13 @@
-// Coverage for support/parallel plus the contract the ingest fast path
-// leans on: Graph::FromEdgesParallel produces a CSR byte-identical to the
-// serial build at every thread count.
+// Coverage for support/parallel: the thread-count override, task
+// fan-out, exception propagation and chunking.
 #include "support/parallel.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
-
-#include "graph/generators.h"
-#include "graph/graph.h"
-#include "support/random.h"
 
 namespace rpmis {
 namespace {
@@ -111,83 +105,6 @@ TEST(ParallelChunksTest, SmallRangeRunsInline) {
   EXPECT_EQ(calls, 1u);
   // Empty range: body never runs.
   ParallelChunks(5, 5, 1, [&](size_t, size_t) { FAIL(); });
-}
-
-// ---- serial vs parallel CSR build --------------------------------------
-
-void ExpectIdenticalCsr(const Graph& a, const Graph& b) {
-  ASSERT_EQ(a.NumVertices(), b.NumVertices());
-  ASSERT_EQ(a.NumEdges(), b.NumEdges());
-  for (Vertex v = 0; v < a.NumVertices(); ++v) {
-    ASSERT_EQ(a.EdgeBegin(v), b.EdgeBegin(v)) << "offset of " << v;
-    const auto na = a.Neighbors(v);
-    const auto nb = b.Neighbors(v);
-    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
-        << "adjacency of " << v;
-  }
-}
-
-std::vector<Edge> MessyRandomEdges(Vertex n, size_t m, uint64_t seed) {
-  // Duplicates (in both orientations) and self-loops included on purpose:
-  // the build must canonicalize them away identically in both paths.
-  Rng rng(seed);
-  std::vector<Edge> edges;
-  edges.reserve(m + m / 4);
-  for (size_t i = 0; i < m; ++i) {
-    const auto u = static_cast<Vertex>(rng.NextBounded(n));
-    const auto v = static_cast<Vertex>(rng.NextBounded(n));
-    edges.emplace_back(u, v);
-    if (i % 5 == 0) edges.emplace_back(v, u);   // reversed duplicate
-    if (i % 11 == 0) edges.emplace_back(u, u);  // self-loop
-  }
-  return edges;
-}
-
-TEST(FromEdgesParallelTest, MatchesSerialAcrossThreadCounts) {
-  for (const char* threads : {"1", "2", "8"}) {
-    ThreadsEnv env(threads);
-    for (uint64_t seed : {1u, 2u, 3u}) {
-      const Vertex n = 2000;
-      const std::vector<Edge> edges = MessyRandomEdges(n, 60000, seed);
-      Graph serial = Graph::FromEdgesSerial(n, edges);
-      Graph parallel = Graph::FromEdgesParallel(n, edges);
-      ExpectIdenticalCsr(serial, parallel);
-    }
-  }
-}
-
-TEST(FromEdgesParallelTest, MatchesSerialOnStructuredGraphs) {
-  ThreadsEnv env("4");
-  const Graph power_law = ChungLuPowerLaw(5000, 2.1, 6.0, /*seed=*/9);
-  const std::vector<Edge> edges = power_law.CollectEdges();
-  Graph serial = Graph::FromEdgesSerial(power_law.NumVertices(), edges);
-  Graph parallel = Graph::FromEdgesParallel(power_law.NumVertices(), edges);
-  ExpectIdenticalCsr(serial, parallel);
-}
-
-TEST(FromEdgesParallelTest, DegenerateInputs) {
-  ThreadsEnv env("8");
-  ExpectIdenticalCsr(Graph::FromEdgesSerial(0, std::vector<Edge>{}),
-                     Graph::FromEdgesParallel(0, std::vector<Edge>{}));
-  // Isolated vertices and a single edge.
-  const std::vector<Edge> one{{3, 7}};
-  ExpectIdenticalCsr(Graph::FromEdgesSerial(10, one),
-                     Graph::FromEdgesParallel(10, one));
-  // Only self-loops: empty edge set after normalization.
-  const std::vector<Edge> loops{{1, 1}, {2, 2}};
-  Graph g = Graph::FromEdgesParallel(4, loops);
-  EXPECT_EQ(g.NumEdges(), 0u);
-  EXPECT_EQ(g.NumVertices(), 4u);
-}
-
-TEST(FromEdgesParallelTest, AutoDispatchIsDeterministic) {
-  // Above the dispatch threshold with >1 threads, FromEdges takes the
-  // parallel path; the result must still equal the serial reference.
-  ThreadsEnv env("8");
-  const Vertex n = 5000;
-  const std::vector<Edge> edges = MessyRandomEdges(n, 80000, /*seed=*/4);
-  ExpectIdenticalCsr(Graph::FromEdgesSerial(n, edges),
-                     Graph::FromEdges(n, edges));
 }
 
 }  // namespace
