@@ -11,7 +11,7 @@
 //      serial pass (a block-parallel screen lost on power-law graphs,
 //      DESIGN.md §7);
 //   2. the Nemhauser–Trotter LP reduction, O(m√n), whose Hopcroft–Karp
-//      BFS is the one RPMIS_THREADS-aware step inside a solve.
+//      BFS runs on RPMIS_THREADS threads.
 // Both are exact and both can be disabled for ablation. The alive subgraph
 // left by the first is assembled once as a CSR; the LP runs on it and the
 // main loop takes it over (DESIGN.md §3).

@@ -1,8 +1,8 @@
 // Minimal std::thread fan-out used by the chunked edge-list scan, the
-// Hopcroft–Karp BFS of the LP reduction, the compaction fill and the
-// per-component scheduler. A parallel path is kept only where a
-// measurement shows it wins; the CSR build and the dominance prepass
-// are serial because theirs lost (DESIGN.md §5 and §7).
+// binary reader's CSR validation, the Hopcroft–Karp BFS of the LP
+// reduction, the compaction fill and the per-component scheduler. The CSR
+// build and the dominance prepass are serial: their parallel versions
+// were slower at 4 threads on power-law graphs (DESIGN.md §5 and §7).
 //
 // There is deliberately no persistent thread pool: the helpers here wrap
 // coarse, hundreds-of-milliseconds tasks (parsing a multi-megabyte file,
