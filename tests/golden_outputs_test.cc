@@ -11,12 +11,16 @@
 // DynamicMisEngine's end state after a fixed update stream is pinned too;
 // BDOne's snapshot and the engine pin were recorded while BDOne, LinearTime
 // and NearLinear each had their own peel loop and LinearTime still logged
-// the engine's peel provenance as a rule-by-rule trace.
+// the engine's peel provenance as a rule-by-rule trace. NearLinear is also
+// pinned on two families of its own: planted cliques, where nearly every
+// edge lies on a triangle, and a caterpillar of paths, where degree-one
+// ends meet the path rule's rewires.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
@@ -305,9 +309,11 @@ constexpr NearLinearGoldens kNearLinearExpected[] = {
      {0x6fbd20fb866df306ull, 0xe699f1b2ce19d3b7ull}},
 };
 
-TEST(GoldenOutputs, NearLinear) {
-  const auto graphs = GoldenGraphs();
-  ASSERT_EQ(graphs.size(), std::size(kNearLinearExpected));
+// Checks NearLinear on each graph under the four option sets against
+// `expected` (one row per graph, in order).
+void ExpectNearLinearGoldens(const std::vector<std::pair<std::string, Graph>>& graphs,
+                             std::span<const NearLinearGoldens> expected) {
+  ASSERT_EQ(graphs.size(), expected.size());
   NearLinearOptions no_lp;
   no_lp.lp_reduction = false;
   NearLinearOptions no_one_pass;
@@ -316,7 +322,7 @@ TEST(GoldenOutputs, NearLinear) {
   no_compaction.compaction.enabled = false;
   for (size_t i = 0; i < graphs.size(); ++i) {
     const auto& [name, g] = graphs[i];
-    const NearLinearGoldens& want = kNearLinearExpected[i];
+    const NearLinearGoldens& want = expected[i];
     SCOPED_TRACE(name);
     ASSERT_EQ(name, want.graph);
     const struct {
@@ -334,6 +340,83 @@ TEST(GoldenOutputs, NearLinear) {
       EXPECT_EQ(got.snapshot, c.want.snapshot);
     }
   }
+}
+
+TEST(GoldenOutputs, NearLinear) {
+  ExpectNearLinearGoldens(GoldenGraphs(), kNearLinearExpected);
+}
+
+// Planted cliques of 3-8 vertices over a sparse random background: nearly
+// every edge closes a triangle, so the core's triangle counts stay
+// positive and its dominance rescreens rarely find an edge they may skip.
+Graph PlantedCliques(Vertex n, uint32_t cliques, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Edge> edges;
+  for (Vertex i = 0; i < n; ++i) {
+    edges.emplace_back(static_cast<Vertex>(rng() % n), static_cast<Vertex>(rng() % n));
+  }
+  std::vector<Vertex> members;
+  for (uint32_t c = 0; c < cliques; ++c) {
+    members.resize(3 + rng() % 6);
+    for (Vertex& v : members) v = static_cast<Vertex>(rng() % n);
+    for (size_t a = 0; a < members.size(); ++a) {
+      for (size_t b = a + 1; b < members.size(); ++b) {
+        edges.emplace_back(members[a], members[b]);
+      }
+    }
+  }
+  return Graph::FromEdges(n, edges);
+}
+
+// A caterpillar whose legs are paths: a spine 0..spine-1 with the chords
+// (i, i+1) and (i, i+2), so spine edges close triangles, and two legs per
+// spine vertex. A leg is a path of 1-6 fresh vertices that ends in a leaf
+// or rejoins the spine at a random vertex. Once peels and deletions cut
+// into it, degree-one ends meet the path rule's rewires (cases 3 and 5).
+Graph PathCaterpillar(Vertex spine, uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<Edge> edges;
+  Vertex next = spine;
+  for (Vertex i = 0; i < spine; ++i) {
+    if (i + 1 < spine) edges.emplace_back(i, i + 1);
+    if (i + 2 < spine) edges.emplace_back(i, i + 2);
+    for (int leg = 0; leg < 2; ++leg) {
+      const uint64_t len = 1 + rng() % 6;
+      Vertex prev = i;
+      for (uint64_t k = 0; k < len; ++k) {
+        edges.emplace_back(prev, next);
+        prev = next++;
+      }
+      if (rng() % 2 == 0) edges.emplace_back(prev, static_cast<Vertex>(rng() % spine));
+    }
+  }
+  return Graph::FromEdges(next, edges);
+}
+
+std::vector<std::pair<std::string, Graph>> TriangleAndPathGraphs() {
+  std::vector<std::pair<std::string, Graph>> graphs;
+  graphs.emplace_back("cliques-4k", PlantedCliques(4000, 900, 51));
+  graphs.emplace_back("caterpillar-2k", PathCaterpillar(2000, 53));
+  return graphs;
+}
+
+// Recorded before NearLinear's deletes became triangle-local and its
+// rescreens learned to skip vertices that cannot push.
+constexpr NearLinearGoldens kTriangleAndPathExpected[] = {
+    {"cliques-4k",
+     {0x7fbb9f598a551bdaull, 0xcea6fd1ed8fe31f9ull},
+     {0xe17a4e14963163e5ull, 0x4b4203cd35dca91full},
+     {0x7f4ebaf71a2a78bfull, 0x90d349efc6eb8297ull},
+     {0x7fbb9f598a551bdaull, 0xcea6fd1ed8fe31f9ull}},
+    {"caterpillar-2k",
+     {0x3a7c87f344d61e3bull, 0x159f4f399e6271f9ull},
+     {0x94bc5a77678c0d8aull, 0xaab6be07b9042f8cull},
+     {0xfd930ec3acd37a87ull, 0xda19069fa8481b16ull},
+     {0x3a7c87f344d61e3bull, 0x159f4f399e6271f9ull}},
+};
+
+TEST(GoldenOutputs, NearLinearTrianglesAndPaths) {
+  ExpectNearLinearGoldens(TriangleAndPathGraphs(), kTriangleAndPathExpected);
 }
 
 // DynamicMisEngine end state after a fixed RandomUpdateStream: the
