@@ -147,6 +147,12 @@ KernelCsr DropLpFixed(const KernelCsr& kernel, const LpReduction& lp,
 // CSR left by the exact prepasses and records decisions in INPUT ids (via
 // `to_orig_`), which lets it rebuild its own vertex universe mid-run
 // (Compact) without post-hoc translation.
+//
+// hot_[v] counts v's alive slots with δ > 0 plus v's alive neighbours of
+// degree one (a degree-one neighbour shares no neighbour with v, so no slot
+// is counted twice). A slot (v, x) can push only if δ + 1 equals deg(v) or
+// deg(x); when deg(v) >= 2 that needs δ > 0 or deg(x) = 1. So a rescreen
+// of v with deg(v) != 1 and hot_[v] = 0 pushes nothing and is skipped.
 class NearLinearCore : public PeelingCore<kPathRule, NearLinearCore> {
   using Core = PeelingCore<kPathRule, NearLinearCore>;
   friend Core;
@@ -169,17 +175,33 @@ class NearLinearCore : public PeelingCore<kPathRule, NearLinearCore> {
       delta_ = EdgeTriangleCounts(offsets_, adj_, rev_);
     }
     // Initial dominated set: u dominates v  =>  v is dominated.
+    hot_.assign(n_, 0);
     for (Vertex u = 0; u < n_; ++u) {
       for (uint64_t e = Begin(u); e < End(u); ++e) {
         if (delta_[e] == deg_[u] - 1) dominated_.push_back(adj_[e]);
+        hot_[u] += delta_[e] > 0 || deg_[adj_[e]] == 1;
       }
     }
   }
 
  private:
-  // Screens every alive pair (v, x) incident to v for fresh dominance.
+  // hot_[v] recounted from scratch (debug checks).
+  uint32_t CountHot(Vertex v) const {
+    uint32_t hot = 0;
+    for (uint64_t e = Begin(v); e < End(v); ++e) {
+      const Vertex x = adj_[e];
+      if (alive_[x]) hot += delta_[e] > 0 || deg_[x] == 1;
+    }
+    return hot;
+  }
+
+  // Screens every alive pair (v, x) incident to v for fresh dominance, in
+  // slot order, unless hot_[v] proves that no pair can push (see the class
+  // comment; deg(v) = 0 leaves no pair at all).
   void RescreenVertex(Vertex v) {
     if (!alive_[v]) return;
+    RPMIS_DASSERT(hot_[v] == CountHot(v));
+    if (hot_[v] == 0 && deg_[v] != 1) return;
     for (uint64_t e = Begin(v); e < End(v); ++e) {
       const Vertex x = adj_[e];
       if (!alive_[x]) continue;
@@ -188,27 +210,47 @@ class NearLinearCore : public PeelingCore<kPathRule, NearLinearCore> {
     }
   }
 
-  // Deletion hooks: collect the alive neighbours (pass A is the core's
-  // degree update), then every triangle (x, v, w) loses x, so δ(v, w)
-  // drops (pass B); the neighbours lost a degree, so they may newly
-  // dominate and their two-hop neighbours may newly be dominated (pass C,
-  // §5 discussion). Degree-one vertices need no worklist of their own:
-  // such a vertex dominates its remaining neighbour, which pass C queues.
-  void OnNeighborLost(Vertex v) { scratch_nbrs_.push_back(v); }
-  void AfterDelete(Vertex /*x*/) {
+  // y just reached degree one: its one alive neighbour counts it.
+  void NoteDegreeOne(Vertex y) { ++hot_[FirstAliveNeighbor(y)]; }
+
+  // The fresh edge (a, b) gives a degree-one endpoint a new neighbour.
+  void NoteRewiredEdge(Vertex a, Vertex b) {
+    if (deg_[a] == 1) ++hot_[b];
+    if (deg_[b] == 1) ++hot_[a];
+  }
+
+  // Deletion hook, after the core's degree update (pass A). Every triangle
+  // (x, v, w) loses x, so δ(v, w) drops (pass B). Only a neighbour v with
+  // δ(x, v) > 0 lies on such a triangle, and its scan stops once it has
+  // met all δ(x, v) of its partners w. The neighbours lost a degree, so
+  // they may newly dominate and their neighbours may newly be dominated
+  // (pass C, §5 discussion). Degree-one vertices need no worklist of their
+  // own: such a vertex dominates its remaining neighbour, which pass C
+  // queues.
+  void AfterDelete(Vertex x) {
+    scratch_slots_.clear();
     mark_.Clear();
-    for (Vertex v : scratch_nbrs_) mark_.Insert(v);
-    for (Vertex v : scratch_nbrs_) {
-      for (uint64_t e = Begin(v); e < End(v); ++e) {
-        const Vertex w = adj_[e];
-        if (alive_[w] && mark_.Contains(w)) {
-          RPMIS_DASSERT(delta_[e] > 0);
-          --delta_[e];  // the mirror decrements when the loop reaches w
-        }
-      }
+    for (uint64_t e = Begin(x); e < End(x); ++e) {
+      if (!alive_[adj_[e]]) continue;
+      scratch_slots_.push_back(e);
+      mark_.Insert(adj_[e]);
     }
-    for (Vertex v : scratch_nbrs_) RescreenVertex(v);
-    scratch_nbrs_.clear();
+    RPMIS_DASSERT(scratch_slots_.size() == deg_[x]);
+    if (deg_[x] == 1) --hot_[adj_[scratch_slots_[0]]];  // x was degree one
+    for (uint64_t e : scratch_slots_) {
+      const Vertex v = adj_[e];
+      if (deg_[v] == 1) NoteDegreeOne(v);
+      uint32_t left = delta_[e];
+      if (left == 0) continue;
+      --hot_[v];  // the slot (v, x) dies
+      for (uint64_t f = Begin(v); left > 0 && f < End(v); ++f) {
+        if (!mark_.Contains(adj_[f])) continue;
+        if (--delta_[f] == 0) --hot_[v];  // the mirror drops when w's turn comes
+        --left;
+      }
+      RPMIS_DASSERT(left == 0);
+    }
+    for (uint64_t e : scratch_slots_) RescreenVertex(adj_[e]);
   }
 
   void BeforeStep(LazyMaxBucketQueue& peel_queue) {
@@ -221,21 +263,29 @@ class NearLinearCore : public PeelingCore<kPathRule, NearLinearCore> {
     return true;
   }
 
-  // Case 3: the fresh edge (v_1, w) closes no triangle, so δ = 0 on both
-  // slots and no dominance can newly arise (δ = 0 < deg - 1).
-  void OnOddPathRewired(uint64_t e1, uint64_t e2) {
-    delta_[e1] = 0;
-    delta_[e2] = 0;
+  // Case 3: the fresh edge (v_1, w) closes no triangle, and the slots it
+  // took held path edges, which lie on none either: δ stays 0 on both
+  // slots, so no dominance can newly arise from them (δ = 0 < deg - 1).
+  // v_1 keeps degree two; a degree-one w now hangs off v_1.
+  void OnOddPathRewired(Vertex v1, Vertex w, uint64_t e1, uint64_t e2) {
+    RPMIS_DASSERT(delta_[e1] == 0 && delta_[e2] == 0);
     rev_[e1] = static_cast<uint32_t>(e2);
     rev_[e2] = static_cast<uint32_t>(e1);
+    NoteRewiredEdge(v1, w);
   }
 
   // Case 4: v and w lost one degree; triangle counts are untouched, so
-  // only their own "dominates a neighbour" status can flip. Case 5: the
-  // fresh edge (v, w) has unchanged degrees; every common neighbour x
-  // gains the triangle (x, v, w), so δ(x,v) and δ(x,w) grow by one.
+  // only their own "dominates a neighbour" status can flip. Both had
+  // degree >= 3 (a path neighbour, each other and a third, as degree two
+  // would have put them on the path), so neither reaches degree one.
+  // Case 5: the fresh edge (v, w) has unchanged degrees; every common
+  // neighbour x gains the triangle (x, v, w), so δ(x,v) and δ(x,w) grow by
+  // one.
   void OnEvenPathRemoved(Vertex v, Vertex w, uint64_t e1, uint64_t e2) {
-    if (e1 != kNoSlot) {
+    if (e1 == kNoSlot) {
+      RPMIS_DASSERT(deg_[v] >= 2 && deg_[w] >= 2);
+    } else {
+      RPMIS_DASSERT(delta_[e1] == 0 && delta_[e2] == 0);
       rev_[e1] = static_cast<uint32_t>(e2);
       rev_[e2] = static_cast<uint32_t>(e1);
       mark_.Clear();
@@ -248,22 +298,29 @@ class NearLinearCore : public PeelingCore<kPathRule, NearLinearCore> {
         const Vertex x = adj_[e];
         if (x == w || !alive_[x] || !mark_.Contains(x)) continue;
         ++common;
-        ++delta_[e];
-        ++delta_[rev_[e]];
+        GainTriangle(v, x, e);
         mark2_.Insert(x);
       }
       for (uint64_t e = Begin(w); e < End(w); ++e) {
         const Vertex x = adj_[e];
-        if (alive_[x] && mark2_.Contains(x)) {
-          ++delta_[e];
-          ++delta_[rev_[e]];
-        }
+        if (alive_[x] && mark2_.Contains(x)) GainTriangle(w, x, e);
       }
       delta_[e1] = common;
       delta_[e2] = common;
+      if (common > 0) {
+        ++hot_[v];
+        ++hot_[w];
+      }
+      NoteRewiredEdge(v, w);
     }
     RescreenVertex(v);
     RescreenVertex(w);
+  }
+
+  // The edge (a, x) in slot e, and its mirror, gain one triangle.
+  void GainTriangle(Vertex a, Vertex x, uint64_t e) {
+    if (delta_[e]++ == 0) ++hot_[a];
+    if (delta_[rev_[e]]++ == 0) ++hot_[x];
   }
 
   void ApplyDominance();
@@ -271,8 +328,9 @@ class NearLinearCore : public PeelingCore<kPathRule, NearLinearCore> {
 
   std::vector<uint32_t> delta_;
   std::vector<uint32_t> rev_;
+  std::vector<uint32_t> hot_;
   std::vector<Vertex> dominated_;
-  std::vector<Vertex> scratch_nbrs_;
+  std::vector<uint64_t> scratch_slots_;  // AfterDelete: x's alive slots
   FastSet mark_, mark2_;
   CompactionPolicy policy_;
 };
@@ -328,8 +386,13 @@ void NearLinearCore::Compact(LazyMaxBucketQueue& peel_queue) {
   delta_ = std::move(new_delta);
   rev_ = std::move(new_rev);
   std::vector<uint32_t> new_deg(new_n);
-  for (Vertex i = 0; i < new_n; ++i) new_deg[i] = deg_[ren.kept[i]];
+  std::vector<uint32_t> new_hot(new_n);
+  for (Vertex i = 0; i < new_n; ++i) {
+    new_deg[i] = deg_[ren.kept[i]];
+    new_hot[i] = hot_[ren.kept[i]];
+  }
   deg_ = std::move(new_deg);
+  hot_ = std::move(new_hot);
   alive_.assign(new_n, 1);
   ComposeToOrig(ren, &to_orig_);
   RemapWorklist(ren, &v2_);

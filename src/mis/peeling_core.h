@@ -184,16 +184,17 @@ class PeelingCore {
   // Hooks, called statically on Derived; a derived core redefines the
   // ones it needs.
   //
-  // A neighbour w of a vertex being deleted is about to lose a degree.
-  void OnNeighborLost(Vertex /*w*/) {}
-  // DeleteVertex(x) has updated every degree.
+  // DeleteVertex(x) has updated every degree; x's alive neighbours are
+  // still the alive targets of its slots.
   void AfterDelete(Vertex /*x*/) {}
   // Start of every loop step.
   void BeforeStep(LazyMaxBucketQueue& /*peel_queue*/) {}
   // Runs after the core's own rules found nothing; true if a rule fired.
   bool ApplyOtherRule() { return false; }
-  // Case 3 rewired the fresh edge (v_1, w) into slots e1 (of v_1) and e2.
-  void OnOddPathRewired(uint64_t /*e1*/, uint64_t /*e2*/) {}
+  // Case 3 rewired the fresh edge (v_1, w) into slots e1 (of v_1) and e2
+  // (of w).
+  void OnOddPathRewired(Vertex /*v1*/, Vertex /*w*/, uint64_t /*e1*/,
+                        uint64_t /*e2*/) {}
   // Cases 4 and 5 removed an even path between v and w. Case 5 rewired
   // the fresh edge (v, w) into slots e1 (of v) and e2; case 4 passes
   // kNoSlot twice, after v and w each lost a degree.
@@ -249,7 +250,6 @@ class PeelingCore {
     for (uint64_t e = Begin(x); e < End(x); ++e) {
       const Vertex w = adj_[e];
       if (!alive_[w]) continue;
-      self().OnNeighborLost(w);
       --deg_[w];
       DegreeDropped(w);
     }
@@ -423,7 +423,7 @@ class PeelingCore {
       // Degrees of v_1 and w are unchanged (one lost slot, one new slot).
       const uint64_t e1 = Rewire(path[0], path[1], w);
       const uint64_t e2 = Rewire(w, path[l - 1], path[0]);
-      self().OnOddPathRewired(e1, e2);
+      self().OnOddPathRewired(path[0], w, e1, e2);
       return;
     }
     // Even path: drop all of it; attachments each lose exactly one edge.
