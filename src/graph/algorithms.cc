@@ -104,10 +104,6 @@ std::vector<uint32_t> ReverseEdgeIndex(std::span<const uint64_t> offsets,
   return rev;
 }
 
-std::vector<uint32_t> ReverseEdgeIndex(const Graph& g) {
-  return ReverseEdgeIndex(g.RawOffsets(), g.RawNeighbors());
-}
-
 std::vector<uint32_t> EdgeTriangleCounts(std::span<const uint64_t> offsets,
                                          std::span<const Vertex> adj,
                                          std::span<const uint32_t> rev) {
@@ -169,7 +165,7 @@ std::vector<uint32_t> EdgeTriangleCounts(std::span<const uint64_t> offsets,
 }
 
 std::vector<uint32_t> EdgeTriangleCounts(const Graph& g) {
-  const std::vector<uint32_t> rev = ReverseEdgeIndex(g);
+  const std::vector<uint32_t> rev = ReverseEdgeIndex(g.RawOffsets(), g.RawNeighbors());
   return EdgeTriangleCounts(g.RawOffsets(), g.RawNeighbors(), rev);
 }
 

@@ -86,7 +86,6 @@ void CheckEdgeIdsFit32Bits(uint64_t directed_edges);
 /// count exceeds 32 bits.
 std::vector<uint32_t> ReverseEdgeIndex(std::span<const uint64_t> offsets,
                                        std::span<const Vertex> adj);
-std::vector<uint32_t> ReverseEdgeIndex(const Graph& g);
 
 /// Per-directed-edge triangle counts δ(u, v) = |N(u) ∩ N(v)| (Lemma 5.2)
 /// of a symmetric CSR with reverse index `rev`. Both directions of an edge

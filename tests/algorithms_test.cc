@@ -106,7 +106,7 @@ TEST(EdgeIdLimitTest, OverflowIsDiagnosable) {
 
 TEST(ReverseEdgeIndexTest, MirrorsAreInvolution) {
   Graph g = ErdosRenyiGnm(40, 120, /*seed=*/5);
-  auto rev = ReverseEdgeIndex(g);
+  auto rev = ReverseEdgeIndex(g.RawOffsets(), g.RawNeighbors());
   for (Vertex v = 0; v < g.NumVertices(); ++v) {
     for (uint64_t e = g.EdgeBegin(v); e < g.EdgeEnd(v); ++e) {
       const uint32_t r = rev[e];
@@ -122,7 +122,7 @@ TEST(ReverseEdgeIndexTest, PointsToMirrorSlotOnRandomGraphs) {
                           ChungLuPowerLaw(1500, 3.5, 10.0, /*seed=*/3),
                           StarGraph(40), Graph::FromEdges(6, std::vector<Edge>{})};
   for (const Graph& g : graphs) {
-    const std::vector<uint32_t> rev = ReverseEdgeIndex(g);
+    const std::vector<uint32_t> rev = ReverseEdgeIndex(g.RawOffsets(), g.RawNeighbors());
     ASSERT_EQ(rev.size(), 2 * g.NumEdges());
     for (Vertex v = 0; v < g.NumVertices(); ++v) {
       for (uint64_t e = g.EdgeBegin(v); e < g.EdgeEnd(v); ++e) {
