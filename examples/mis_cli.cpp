@@ -66,8 +66,7 @@ int Usage() {
          "                solve connected components independently, in parallel\n"
          "                across RPMIS_THREADS workers)\n"
          "               [--stats]           (print per-run reduction counters;\n"
-         "                bdone/bdtwo/lineartime/nearlinear only, plus\n"
-         "                nearlinear's mid-run compaction counters)\n"
+         "                bdone/bdtwo/lineartime/nearlinear only)\n"
          "               [--verify]          (re-check the output set is\n"
          "                independent and maximal, with a reason on failure)\n"
          "               [--updates=FILE]    (dynamic mode: solve with\n"

@@ -1,7 +1,7 @@
 #!/bin/sh
 # End-to-end observability gate (runs in ctest tier-1 as `check_obs`):
 #
-#   1. Run an instrumented bench (bench_micro_compaction --fast) with
+#   1. Run an instrumented bench (bench_ablation_nearlinear --fast) with
 #      every sink enabled: --trace, --metrics, --progress, --records.
 #   2. Validate the trace JSON and the JSONL records with the obs_validate
 #      CLI (same validators as the unit tests). Any validation failure or

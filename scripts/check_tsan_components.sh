@@ -3,7 +3,7 @@
 # dedicated tree with RPMIS_SANITIZE=thread and runs the suites that
 # exercise cross-thread code (the parallel component scheduler, the
 # chunked edge-list scan, the parallel Hopcroft–Karp BFS of the LP
-# prepass, the compaction fill, and the benchkit measurement plumbing)
+# prepass, and the benchkit measurement plumbing)
 # with RPMIS_THREADS=8 so the scheduler genuinely runs multi-threaded
 # under the race detector. Companion to
 # scripts/check_sanitize.sh (ASan/UBSan over the full suite).
@@ -16,4 +16,4 @@ cmake -B "$BUILD_DIR" -S . -DRPMIS_SANITIZE=thread \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$BUILD_DIR" -j
 RPMIS_THREADS=8 ctest --test-dir "$BUILD_DIR" --output-on-failure \
-  -j "$(nproc)" -R 'PerComponent|Parallel|Graph|ComponentExtractor|ConnectedComponents|Run|Dominance|Compaction'
+  -j "$(nproc)" -R 'PerComponent|Parallel|Graph|ComponentExtractor|ConnectedComponents|Run|Dominance'

@@ -36,15 +36,6 @@ std::string FormatSolverStats(const MisSolution& sol) {
   AddRule(out, "twin", sol.rules.twin);
   AddRule(out, "unconfined", sol.rules.unconfined);
   AddRule(out, "peels (inexact)", sol.rules.peels);
-  // Only NearLinear's core rebuilds mid-run; the line appears when it did.
-  const CompactionStats& c = sol.compaction;
-  if (c.compactions > 0) {
-    out << "compaction: " << FormatCount(c.compactions) << " rebuilds; scanned "
-        << FormatCount(c.vertices_scanned) << " vertices / "
-        << FormatCount(c.slots_scanned) << " slots; kept "
-        << FormatCount(c.vertices_kept) << " vertices / "
-        << FormatCount(c.slots_kept) << " slots\n";
-  }
   return out.str();
 }
 
@@ -73,13 +64,6 @@ void PublishSolutionMetrics(const MisSolution& sol,
   metrics->Add("rules.unconfined", r.unconfined);
   metrics->Add("rules.peels", r.peels);
   metrics->Add("rules.total_exact", r.TotalExact());
-
-  const CompactionStats& c = sol.compaction;
-  metrics->Add("compaction.rebuilds", c.compactions);
-  metrics->Add("compaction.vertices_scanned", c.vertices_scanned);
-  metrics->Add("compaction.slots_scanned", c.slots_scanned);
-  metrics->Add("compaction.vertices_kept", c.vertices_kept);
-  metrics->Add("compaction.slots_kept", c.slots_kept);
 }
 
 std::string FormatDynamicStats(const DynamicStats& stats) {

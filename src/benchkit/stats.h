@@ -11,18 +11,15 @@
 namespace rpmis {
 
 /// Multi-line report of a solution's instrumentation: reduction-rule
-/// application counts, peeling/kernel figures, and — when NearLinear's
-/// core rebuilt its kernel mid-run — the compaction counters (events,
-/// vertices/edge-slots scanned and kept). Zero-valued rule counters are
-/// omitted so small runs stay readable.
+/// application counts and peeling/kernel figures. Zero-valued rule
+/// counters are omitted so small runs stay readable.
 std::string FormatSolverStats(const MisSolution& sol);
 
-/// Publishes a solution's instrumentation — rule counters, peel/kernel
-/// figures, and the CompactionStats block — into `metrics` under the
-/// dotted-name convention ("rules.degree_one", "compaction.rebuilds",
-/// "solution.size"). This is the registry-side twin of
-/// FormatSolverStats: run records carry the snapshot instead of knowing
-/// the structs' fields. Counters Add (accumulate over repeated runs);
+/// Publishes a solution's instrumentation — rule counters and peel/kernel
+/// figures — into `metrics` under the dotted-name convention
+/// ("rules.degree_one", "kernel.vertices", "solution.size"). This is the
+/// registry-side twin of FormatSolverStats: run records carry the
+/// snapshot instead of knowing the structs' fields. Counters Add (accumulate over repeated runs);
 /// per-solution scalars are gauges (last run wins).
 void PublishSolutionMetrics(const MisSolution& sol,
                             obs::MetricsRegistry* metrics);

@@ -108,29 +108,4 @@ LazyMaxBucketQueue::LazyMaxBucketQueue(std::span<const uint32_t> keys)
   if (keys.empty()) max_bound_ = kNoBucket;
 }
 
-void LazyMaxBucketQueue::Compact(Vertex new_n, std::span<const Vertex> to_new) {
-  std::vector<Vertex> new_next(new_n, kInvalidVertex);
-  // Keys never grow, so every entry sits at or below max_bound_ and the
-  // bucket array can shrink with the queue.
-  const size_t buckets =
-      max_bound_ == kNoBucket ? 0 : static_cast<size_t>(max_bound_) + 1;
-  for (size_t k = 0; k < buckets; ++k) {
-    Vertex head = kInvalidVertex;
-    Vertex tail = kInvalidVertex;
-    for (Vertex v = bucket_head_[k]; v != kInvalidVertex; v = next_[v]) {
-      const Vertex nv = to_new[v];
-      if (nv == kInvalidVertex) continue;  // dead; a pop would discard it
-      if (tail == kInvalidVertex) {
-        head = nv;
-      } else {
-        new_next[tail] = nv;
-      }
-      tail = nv;
-    }
-    bucket_head_[k] = head;
-  }
-  bucket_head_.resize(buckets);
-  next_ = std::move(new_next);
-}
-
 }  // namespace rpmis

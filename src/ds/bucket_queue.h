@@ -116,15 +116,6 @@ class LazyMaxBucketQueue {
     }
   }
 
-  /// Rebuilds the queue over the renamed universe [0, new_n): entries
-  /// whose vertex maps to kInvalidVertex are discarded now — exactly the
-  /// entries a later PopMax would have skipped as dead. Surviving entries
-  /// keep their bucket (stale entries stay stale) and their position, so
-  /// the pop sequence is unchanged. Keys only decrease, so the bucket
-  /// array also shrinks to the settled upper bound. Used by NearLinear's
-  /// mid-run compaction (mis/compaction.h).
-  void Compact(Vertex new_n, std::span<const Vertex> to_new);
-
  private:
   static constexpr uint32_t kNoBucket = static_cast<uint32_t>(-1);
 

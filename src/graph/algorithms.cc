@@ -76,6 +76,19 @@ Graph ComponentExtractor::Extract(Vertex c) const {
   return Graph::FromCsr(std::move(offsets), std::move(neighbors));
 }
 
+VertexRenaming BuildRenaming(std::span<const uint8_t> keep) {
+  VertexRenaming renaming;
+  const Vertex n = static_cast<Vertex>(keep.size());
+  renaming.to_new.assign(n, kInvalidVertex);
+  for (Vertex v = 0; v < n; ++v) {
+    if (keep[v]) {
+      renaming.to_new[v] = static_cast<Vertex>(renaming.kept.size());
+      renaming.kept.push_back(v);
+    }
+  }
+  return renaming;
+}
+
 void CheckEdgeIdsFit32Bits(uint64_t directed_edges) {
   if (directed_edges >= static_cast<uint64_t>(kInvalidVertex)) {
     throw std::runtime_error(

@@ -1,4 +1,5 @@
-// Shared graph algorithms: connectivity, triangle counts, core numbers.
+// Shared graph algorithms: connectivity, CSR helpers, triangle counts,
+// core numbers.
 //
 // These are the analytical substrates the paper's algorithms rely on:
 // NearLinear (§5) maintains a triangle count per edge to test dominance in
@@ -71,6 +72,16 @@ class ComponentExtractor {
   ComponentInfo cc_;
   std::vector<Vertex> local_id_;  // old id -> position within its slice
 };
+
+/// A monotone old->new renaming over one keep set: kept vertices keep
+/// their relative order, so a sorted adjacency slice stays sorted under it.
+struct VertexRenaming {
+  std::vector<Vertex> to_new;  // old id -> new id, kInvalidVertex if dropped
+  std::vector<Vertex> kept;    // new id -> old id, increasing in old id
+};
+
+/// Builds the renaming keeping exactly the vertices with keep[v] != 0.
+VertexRenaming BuildRenaming(std::span<const uint8_t> keep);
 
 /// Validates that a directed edge count fits the 32-bit slot ids used by
 /// ReverseEdgeIndex / EdgeTriangleCounts and NearLinear's per-slot arrays.

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <map>
 
-#include "mis/compaction.h"
+#include "graph/algorithms.h"
 #include "mis/lp_reduction.h"
 #include "obs/obs.h"
 #include "obs/trace.h"

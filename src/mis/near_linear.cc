@@ -1,11 +1,9 @@
 #include "mis/near_linear.h"
 
 #include <algorithm>
-#include <numeric>
 #include <optional>
 
 #include "graph/algorithms.h"
-#include "mis/compaction.h"
 #include "mis/lp_reduction.h"
 #include "mis/peeling_core.h"
 #include "obs/obs.h"
@@ -145,8 +143,7 @@ KernelCsr DropLpFixed(const KernelCsr& kernel, const LpReduction& lp,
 // the per-edge triangle counts δ, the reverse-edge index and the dominance
 // worklist, which the core's hooks keep up to date. It runs on the kernel
 // CSR left by the exact prepasses and records decisions in INPUT ids (via
-// `to_orig_`), which lets it rebuild its own vertex universe mid-run
-// (Compact) without post-hoc translation.
+// `to_orig_`).
 //
 // hot_[v] counts v's alive slots with δ > 0 plus v's alive neighbours of
 // degree one (a degree-one neighbour shares no neighbour with v, so no slot
@@ -159,13 +156,12 @@ class NearLinearCore : public PeelingCore<kPathRule, NearLinearCore> {
 
  public:
   // Takes ownership of the kernel CSR (sorted slices) and its id map.
-  NearLinearCore(KernelCsr kernel, MisSolution* sol, const CompactionOptions& copts)
+  NearLinearCore(KernelCsr kernel, MisSolution* sol)
       : Core(std::move(kernel.offsets), std::move(kernel.adj),
              std::move(kernel.to_orig), sol,
              {"nearlinear.core", "nearlinear.first_peel"}),
         mark_(n_),
-        mark2_(n_),
-        policy_(copts, n_) {
+        mark2_(n_) {
     {
       obs::TraceSpan span(obs::Trace(), "nearlinear.reverse_index");
       rev_ = ReverseEdgeIndex(offsets_, adj_);
@@ -253,10 +249,6 @@ class NearLinearCore : public PeelingCore<kPathRule, NearLinearCore> {
     for (uint64_t e : scratch_slots_) RescreenVertex(adj_[e]);
   }
 
-  void BeforeStep(LazyMaxBucketQueue& peel_queue) {
-    if (policy_.ShouldCompact(active_)) Compact(peel_queue);
-  }
-
   bool ApplyOtherRule() {
     if (dominated_.empty()) return false;
     ApplyDominance();
@@ -324,7 +316,6 @@ class NearLinearCore : public PeelingCore<kPathRule, NearLinearCore> {
   }
 
   void ApplyDominance();
-  void Compact(LazyMaxBucketQueue& peel_queue);
 
   std::vector<uint32_t> delta_;
   std::vector<uint32_t> rev_;
@@ -332,7 +323,6 @@ class NearLinearCore : public PeelingCore<kPathRule, NearLinearCore> {
   std::vector<Vertex> dominated_;
   std::vector<uint64_t> scratch_slots_;  // AfterDelete: x's alive slots
   FastSet mark_, mark2_;
-  CompactionPolicy policy_;
 };
 
 void NearLinearCore::ApplyDominance() {
@@ -350,58 +340,6 @@ void NearLinearCore::ApplyDominance() {
       return;
     }
   }
-}
-
-// Rebuilds every per-vertex and per-slot structure over the alive,
-// still-undecided subgraph. The renaming is monotone and per-vertex slot
-// order is preserved, so every later scan (first-alive-neighbour walks,
-// rewire lookups, a < b edge enumerations) sees the same sequence as
-// without compaction — the run is byte-identical either way.
-void NearLinearCore::Compact(LazyMaxBucketQueue& peel_queue) {
-  obs::TraceSpan span(obs::Trace(), "nearlinear.compact");
-  std::vector<uint8_t> keep(n_);
-  for (Vertex u = 0; u < n_; ++u) keep[u] = alive_[u] && deg_[u] > 0;
-  VertexRenaming ren = BuildRenaming(keep);
-  const Vertex new_n = static_cast<Vertex>(ren.kept.size());
-  RPMIS_DASSERT(new_n == active_);
-  std::vector<uint64_t> new_offsets;
-  std::vector<Vertex> new_adj;
-  std::vector<uint32_t> slot_map;
-  CompactCsr(ren, offsets_, adj_, &new_offsets, &new_adj, &slot_map,
-             &sol_->compaction);
-  // A slot survives iff its owner and target both survive; its reverse
-  // slot has the same endpoints, so it survives too and the rev links can
-  // be rebuilt by composition with the slot map.
-  std::vector<uint32_t> new_delta(new_adj.size());
-  std::vector<uint32_t> new_rev(new_adj.size());
-  for (Vertex i = 0; i < new_n; ++i) {
-    const Vertex v = ren.kept[i];
-    for (uint64_t s = offsets_[v]; s < offsets_[v + 1]; ++s) {
-      if (ren.to_new[adj_[s]] == kInvalidVertex) continue;
-      new_delta[slot_map[s]] = delta_[s];
-      new_rev[slot_map[s]] = slot_map[rev_[s]];
-    }
-  }
-  AdoptCsr(std::move(new_offsets), std::move(new_adj));
-  delta_ = std::move(new_delta);
-  rev_ = std::move(new_rev);
-  std::vector<uint32_t> new_deg(new_n);
-  std::vector<uint32_t> new_hot(new_n);
-  for (Vertex i = 0; i < new_n; ++i) {
-    new_deg[i] = deg_[ren.kept[i]];
-    new_hot[i] = hot_[ren.kept[i]];
-  }
-  deg_ = std::move(new_deg);
-  hot_ = std::move(new_hot);
-  alive_.assign(new_n, 1);
-  ComposeToOrig(ren, &to_orig_);
-  RemapWorklist(ren, &v2_);
-  RemapWorklist(ren, &dominated_);
-  peel_queue.Compact(new_n, ren.to_new);
-  mark_.Resize(new_n);
-  mark2_.Resize(new_n);
-  n_ = new_n;
-  policy_.NoteRebuild(new_n);
 }
 
 }  // namespace
@@ -457,7 +395,7 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
   std::optional<obs::TraceSpan> build_span(std::in_place, obs::Trace(),
                                            "nearlinear.kernel_build");
   if (sol.rules.lp > 0) kernel = DropLpFixed(kernel, lp, &sol.in_set);
-  NearLinearCore core(std::move(kernel), &sol, options.compaction);
+  NearLinearCore core(std::move(kernel), &sol);
   build_span.reset();
   core.Run(capture);
 

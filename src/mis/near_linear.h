@@ -27,10 +27,6 @@ namespace rpmis {
 struct NearLinearOptions {
   bool one_pass_dominance = true;
   bool lp_reduction = true;
-  /// Mid-run alive-subgraph rebuilds of the main-loop kernel
-  /// (mis/compaction.h). Output is byte-identical with compaction disabled
-  /// or at any threshold.
-  CompactionOptions compaction;
 };
 
 /// Computes a maximal independent set of g with NearLinear. If `capture`

@@ -21,8 +21,7 @@
 // The core walks a CSR. Without the path rule it reads the input CSR in
 // place. The path rule REWIRES adjacency slots (cases 3 and 5), so the
 // core then works on a private copy of the neighbour array (LinearTime) or
-// on a CSR it owns outright (NearLinear's kernel, which NearLinear also
-// rebuilds mid-run). Rewiring overwrites existing slots in both
+// on a CSR it owns outright (NearLinear's kernel). Rewiring overwrites existing slots in both
 // directions, so the CSR never grows; deleted endpoints are skipped via
 // the alive flags, never physically removed.
 //
@@ -99,8 +98,13 @@ class PeelingCore {
   /// input ids, into `sol->in_set`, which must be sized to the input.
   PeelingCore(std::vector<uint64_t> offsets, std::vector<Vertex> adj,
               std::vector<Vertex> to_orig, MisSolution* sol, PeelingLabels labels)
-      : sol_(sol), labels_(labels), to_orig_(std::move(to_orig)) {
-    AdoptCsr(std::move(offsets), std::move(adj));
+      : sol_(sol),
+        labels_(labels),
+        to_orig_(std::move(to_orig)),
+        own_offsets_(std::move(offsets)),
+        own_adj_(std::move(adj)),
+        offsets_(own_offsets_),
+        adj_(own_adj_) {
     Init();
   }
 
@@ -126,7 +130,6 @@ class PeelingCore {
       if (auto* ps = obs::Progress(); ps != nullptr && ps->Due()) {
         SampleProgress(ps);
       }
-      self().BeforeStep(peel_queue);
       if constexpr (kDegreeOne) {
         if (!v1_.empty()) {
           const Vertex u = v1_.back();
@@ -187,8 +190,6 @@ class PeelingCore {
   // DeleteVertex(x) has updated every degree; x's alive neighbours are
   // still the alive targets of its slots.
   void AfterDelete(Vertex /*x*/) {}
-  // Start of every loop step.
-  void BeforeStep(LazyMaxBucketQueue& /*peel_queue*/) {}
   // Runs after the core's own rules found nothing; true if a rule fired.
   bool ApplyOtherRule() { return false; }
   // Case 3 rewired the fresh edge (v_1, w) into slots e1 (of v_1) and e2
@@ -271,17 +272,9 @@ class PeelingCore {
     }
   }
 
-  // Replaces the CSR the core walks (NearLinear's mid-run rebuild).
-  void AdoptCsr(std::vector<uint64_t> offsets, std::vector<Vertex> adj) {
-    own_offsets_ = std::move(offsets);
-    own_adj_ = std::move(adj);
-    offsets_ = own_offsets_;
-    adj_ = own_adj_;
-  }
-
   MisSolution* sol_;
   PeelingLabels labels_;
-  std::vector<Vertex> to_orig_;  // current id -> input id; empty = identity
+  std::vector<Vertex> to_orig_;  // core id -> input id; empty = identity
   std::vector<uint64_t> own_offsets_;
   std::vector<Vertex> own_adj_;
   std::span<const uint64_t> offsets_;

@@ -25,7 +25,6 @@ void MisSolution::MergeStatsFrom(const MisSolution& part) {
   kernel_edges += part.kernel_edges;
   provably_maximum = provably_maximum && part.provably_maximum;
   rules += part.rules;
-  compaction += part.compaction;
 }
 
 uint64_t ExtendToMaximal(const Graph& g, std::vector<uint8_t>& in_set) {

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "mis/compaction.h"
 
 namespace rpmis {
 
@@ -83,9 +82,6 @@ struct MisSolution {
   uint64_t kernel_edges = 0;
 
   RuleCounters rules;
-
-  /// Mid-run subgraph rebuild counters (mis/compaction.h).
-  CompactionStats compaction;
 
   /// Accumulates the scalar statistics of a partial solution (size, peel
   /// and kernel counts, rule counters; provably_maximum is ANDed).

@@ -1,10 +1,10 @@
 // Metrics registry: named monotone counters and last-write gauges.
 //
 // This is the generic successor of the bespoke per-struct counter
-// plumbing (rule and compaction counter structs): solvers and harnesses write
-// named values, sinks (FormatSolverStats, the JSONL run records) read one
+// plumbing (the rule counter struct): solvers and harnesses write named
+// values, sinks (FormatSolverStats, the JSONL run records) read one
 // sorted snapshot instead of knowing every struct's fields. Names are
-// dotted lowercase paths ("rules.degree_one", "compaction.slots_kept",
+// dotted lowercase paths ("rules.degree_one", "kernel.vertices",
 // "arw.iterations").
 //
 // Thread-safe; hot-path cost is one hash lookup under a mutex, so solver

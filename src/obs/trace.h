@@ -7,7 +7,7 @@
 // monotone by construction, which the validator (obs/validate.h) checks.
 //
 // Granularity contract: spans wrap PHASES (ingest, a prepass, the core
-// loop, one compaction rebuild, one component solve, one ARW iteration),
+// loop, one component solve, one ARW iteration),
 // never per-vertex work — a trace of a big run stays in the tens of
 // thousands of events. The sink additionally hard-caps the buffer and
 // counts dropped events instead of growing without bound.

@@ -89,6 +89,17 @@ TEST(ComponentExtractorTest, EmptyAndEdgelessGraphs) {
   }
 }
 
+TEST(VertexRenamingTest, BuildRenamingIsMonotone) {
+  const std::vector<uint8_t> keep = {1, 0, 1, 1, 0, 0, 1};
+  const VertexRenaming ren = BuildRenaming(keep);
+  EXPECT_EQ(ren.kept, (std::vector<Vertex>{0, 2, 3, 6}));
+  EXPECT_EQ(ren.to_new[0], 0u);
+  EXPECT_EQ(ren.to_new[1], kInvalidVertex);
+  EXPECT_EQ(ren.to_new[2], 1u);
+  EXPECT_EQ(ren.to_new[3], 2u);
+  EXPECT_EQ(ren.to_new[6], 3u);
+}
+
 TEST(EdgeIdLimitTest, OverflowIsDiagnosable) {
   // 2^32-1 directed edges no longer fit 32-bit ids; the error must name
   // the offending count (the limit itself is unreachable with test-sized

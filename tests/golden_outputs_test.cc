@@ -5,8 +5,8 @@
 // rebuilt their working graph mid-run (and did so on the larger graphs
 // here), so they pin the outputs to what every earlier version produced.
 // NearLinear's solution and snapshot are pinned the same way, under its
-// default options and with each prepass and compaction switched off; those
-// hashes were recorded while its set-up still went through edge lists
+// default options and with each prepass switched off; those hashes were
+// recorded while its set-up still went through edge lists
 // (kernel, LP double cover) and binary-searched reverse slots. The
 // DynamicMisEngine's end state after a fixed update stream is pinned too;
 // BDOne's snapshot and the engine pin were recorded while BDOne, LinearTime
@@ -244,7 +244,6 @@ struct NearLinearGoldens {
   NearLinearGolden defaults;
   NearLinearGolden no_lp;
   NearLinearGolden no_one_pass;
-  NearLinearGolden no_compaction;
 };
 
 NearLinearGolden RunNearLinearGolden(const Graph& g,
@@ -254,62 +253,52 @@ NearLinearGolden RunNearLinearGolden(const Graph& g,
   return {HashNearLinear(sol), HashSnapshot(snap)};
 }
 
-// Options: defaults, lp_reduction off, one_pass_dominance off, compaction
-// off. LP fixes vertices on er-sparse, powerlaw, plcore and plaw-20k.
+// Options: defaults, lp_reduction off, one_pass_dominance off. LP fixes
+// vertices on er-sparse, powerlaw, plcore and plaw-20k.
 constexpr NearLinearGoldens kNearLinearExpected[] = {
     {"fig1",
      {0x6cce69721d31b2beull, 0x057bec519d9a0deaull},
      {0x6cce69721d31b2beull, 0x057bec519d9a0deaull},
-     {0x79094dd60465041full, 0x057bec519d9a0deaull},
-     {0x6cce69721d31b2beull, 0x057bec519d9a0deaull}},
+     {0x79094dd60465041full, 0x057bec519d9a0deaull}},
     {"fig1mod",
      {0x8defd35461c82891ull, 0xc71e73e56f62d70dull},
      {0x13482960c6aed81aull, 0xc71e73e56f62d70dull},
-     {0xd4165b55fd7a9b93ull, 0xc71e73e56f62d70dull},
-     {0x8defd35461c82891ull, 0xc71e73e56f62d70dull}},
+     {0xd4165b55fd7a9b93ull, 0xc71e73e56f62d70dull}},
     {"fig2",
      {0xf9eef7f42b07a6cdull, 0xa427fd4c5c787de9ull},
      {0xf9eef7f42b07a6cdull, 0xa427fd4c5c787de9ull},
-     {0x00f66e2b663f2acdull, 0xa427fd4c5c787de9ull},
-     {0xf9eef7f42b07a6cdull, 0xa427fd4c5c787de9ull}},
+     {0x00f66e2b663f2acdull, 0xa427fd4c5c787de9ull}},
     {"fig5",
      {0xa7da51d83d28989eull, 0xe49064286cede061ull},
      {0xa7da51d83d28989eull, 0xe49064286cede061ull},
-     {0xd849e1f9daa71aa4ull, 0x9af94cf1e30e664cull},
-     {0xa7da51d83d28989eull, 0xe49064286cede061ull}},
+     {0xd849e1f9daa71aa4ull, 0x9af94cf1e30e664cull}},
     {"er-3k",
      {0xe05bd661e6cae829ull, 0x56388768e5d8d24bull},
      {0xe05bd661e6cae829ull, 0x56388768e5d8d24bull},
-     {0x0e9c2748f6070327ull, 0x56388768e5d8d24bull},
-     {0xe05bd661e6cae829ull, 0x56388768e5d8d24bull}},
+     {0x0e9c2748f6070327ull, 0x56388768e5d8d24bull}},
     {"er-sparse",
      {0x7e1af806ce3c6617ull, 0xecd66e64b3c7c902ull},
      {0xbe56ddcac34ec7e2ull, 0x15827820d4aff955ull},
-     {0xb9d9ccf042ced8b1ull, 0x3979293ffa1a8491ull},
-     {0x7e1af806ce3c6617ull, 0xecd66e64b3c7c902ull}},
+     {0xb9d9ccf042ced8b1ull, 0x3979293ffa1a8491ull}},
     {"powerlaw",
      {0x1ad532c62315d5f8ull, 0x01196cd2a1b3246aull},
      {0x8496f5cff4ee7658ull, 0x5e991c80a514547aull},
-     {0x280596e73b4e983dull, 0x5b978d756696062cull},
-     {0x1ad532c62315d5f8ull, 0x01196cd2a1b3246aull}},
+     {0x280596e73b4e983dull, 0x5b978d756696062cull}},
     {"plcore",
      {0x3a710203534bc06bull, 0x93122002d254c6e2ull},
      {0x4fe48dc6391a0f6full, 0x55fff7f330e80d0dull},
-     {0xdbb2cc377966d99eull, 0x642db3af6195bc22ull},
-     {0x3a710203534bc06bull, 0x93122002d254c6e2ull}},
+     {0xdbb2cc377966d99eull, 0x642db3af6195bc22ull}},
     {"er-20k",
      {0x9ae7139b3fdc5aacull, 0xcf3e391b45b7e77full},
      {0x9ae7139b3fdc5aacull, 0xcf3e391b45b7e77full},
-     {0x39e864416517e319ull, 0xb6d8d9c68e6a82bfull},
-     {0x9ae7139b3fdc5aacull, 0xcf3e391b45b7e77full}},
+     {0x39e864416517e319ull, 0xb6d8d9c68e6a82bfull}},
     {"plaw-20k",
      {0x6fbd20fb866df306ull, 0xe699f1b2ce19d3b7ull},
      {0xa1f5c8604350e4b3ull, 0xabd3ccb75fde7aeaull},
-     {0xcb357cc85b4e403bull, 0xb4b178778c778f11ull},
-     {0x6fbd20fb866df306ull, 0xe699f1b2ce19d3b7ull}},
+     {0xcb357cc85b4e403bull, 0xb4b178778c778f11ull}},
 };
 
-// Checks NearLinear on each graph under the four option sets against
+// Checks NearLinear on each graph under the three option sets against
 // `expected` (one row per graph, in order).
 void ExpectNearLinearGoldens(const std::vector<std::pair<std::string, Graph>>& graphs,
                              std::span<const NearLinearGoldens> expected) {
@@ -318,8 +307,6 @@ void ExpectNearLinearGoldens(const std::vector<std::pair<std::string, Graph>>& g
   no_lp.lp_reduction = false;
   NearLinearOptions no_one_pass;
   no_one_pass.one_pass_dominance = false;
-  NearLinearOptions no_compaction;
-  no_compaction.compaction.enabled = false;
   for (size_t i = 0; i < graphs.size(); ++i) {
     const auto& [name, g] = graphs[i];
     const NearLinearGoldens& want = expected[i];
@@ -331,8 +318,7 @@ void ExpectNearLinearGoldens(const std::vector<std::pair<std::string, Graph>>& g
       NearLinearGolden want;
     } cases[] = {{"defaults", {}, want.defaults},
                  {"no_lp", no_lp, want.no_lp},
-                 {"no_one_pass", no_one_pass, want.no_one_pass},
-                 {"no_compaction", no_compaction, want.no_compaction}};
+                 {"no_one_pass", no_one_pass, want.no_one_pass}};
     for (const auto& c : cases) {
       SCOPED_TRACE(c.label);
       const NearLinearGolden got = RunNearLinearGolden(g, c.options);
@@ -406,13 +392,11 @@ constexpr NearLinearGoldens kTriangleAndPathExpected[] = {
     {"cliques-4k",
      {0x7fbb9f598a551bdaull, 0xcea6fd1ed8fe31f9ull},
      {0xe17a4e14963163e5ull, 0x4b4203cd35dca91full},
-     {0x7f4ebaf71a2a78bfull, 0x90d349efc6eb8297ull},
-     {0x7fbb9f598a551bdaull, 0xcea6fd1ed8fe31f9ull}},
+     {0x7f4ebaf71a2a78bfull, 0x90d349efc6eb8297ull}},
     {"caterpillar-2k",
      {0x3a7c87f344d61e3bull, 0x159f4f399e6271f9ull},
      {0x94bc5a77678c0d8aull, 0xaab6be07b9042f8cull},
-     {0xfd930ec3acd37a87ull, 0xda19069fa8481b16ull},
-     {0x3a7c87f344d61e3bull, 0x159f4f399e6271f9ull}},
+     {0xfd930ec3acd37a87ull, 0xda19069fa8481b16ull}},
 };
 
 TEST(GoldenOutputs, NearLinearTrianglesAndPaths) {

@@ -7,6 +7,7 @@
 #include "localsearch/boosted.h"
 #include "localsearch/online_mis.h"
 #include "localsearch/redumis.h"
+#include "mis/near_linear.h"
 #include "mis/verify.h"
 #include "test_util.h"
 
@@ -115,6 +116,22 @@ TEST_P(BoostedTest, WorksWhenKernelIsEmpty) {
   BoostedResult r = RunBoostedArw(g, GetParam(), o);
   EXPECT_EQ(r.size, BruteForceAlpha(g));
   EXPECT_EQ(r.kernel_vertices, 0u);
+}
+
+// ARW-NL's base solution and the kernel it iterates on are exactly those
+// of a plain RunNearLinear with a snapshot capture.
+TEST(BoostedArwTest, NearLinearBaseAndKernelMatchRunNearLinear) {
+  const Graph g = ChungLuPowerLaw(4000, 2.5, 6.0, 23);
+  BoostedOptions opts;
+  opts.time_limit_seconds = 0.02;
+  const BoostedResult a = RunBoostedArw(g, BoostKind::kNearLinear, opts);
+  KernelSnapshot snap;
+  const MisSolution b = RunNearLinear(g, &snap);
+  EXPECT_EQ(a.base.in_set, b.in_set);
+  EXPECT_EQ(a.base.size, b.size);
+  EXPECT_EQ(a.kernel_vertices, snap.kernel.NumVertices());
+  EXPECT_EQ(a.kernel_edges, snap.kernel.NumEdges());
+  EXPECT_TRUE(IsMaximalIndependentSet(g, a.in_set));
 }
 
 TEST_P(BoostedTest, DenseKernelGetsImproved) {

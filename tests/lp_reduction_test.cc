@@ -4,11 +4,14 @@
 
 #include "exact/brute_force.h"
 #include "graph/generators.h"
+#include "mis/near_linear.h"
 #include "mis/verify.h"
 #include "test_util.h"
 
 namespace rpmis {
 namespace {
+
+using ::rpmis::testing::ScopedThreads;
 
 TEST(HopcroftKarpTest, PerfectMatchingOnBipartite) {
   // K_{3,3}: matching 3.
@@ -133,6 +136,54 @@ TEST(LpReductionTest, SolutionMeetsMatchingBound) {
       EXPECT_TRUE(g.HasEdge(l, ml[l])) << l << "-" << ml[l];
     }
     EXPECT_EQ(matched, lp.matching);
+  }
+}
+
+// The LP prepass (its parallel Hopcroft–Karp BFS), and NearLinear end to
+// end through it, must be byte-identical at any thread count.
+
+TEST(ParallelLpReduction, ByteIdenticalAcrossThreadCounts) {
+  // Parallel level-synchronous BFS inside Hopcroft–Karp must leave every
+  // LP-reduction output — matching size, include/exclude sets — identical
+  // to the serial pass (dist[] is canonical regardless of expansion order).
+  const Graph graphs[] = {ErdosRenyiGnm(6000, 30000, 13),
+                          ChungLuPowerLaw(8000, 2.5, 8.0, 15),
+                          PowerLawWithCore(5000, 2.5, 6.0, 200, 20.0, 19)};
+  for (const Graph& g : graphs) {
+    LpReduction serial;
+    {
+      ScopedThreads pin("1");
+      serial = SolveLpReduction(g);
+    }
+    EXPECT_GT(serial.matching, 0u);
+    for (const char* threads : {"2", "8"}) {
+      ScopedThreads pin(threads);
+      const LpReduction parallel = SolveLpReduction(g);
+      EXPECT_EQ(parallel.matching, serial.matching) << threads;
+      EXPECT_EQ(parallel.include, serial.include) << threads;
+      EXPECT_EQ(parallel.exclude, serial.exclude) << threads;
+      EXPECT_EQ(parallel.num_include, serial.num_include) << threads;
+      EXPECT_EQ(parallel.num_exclude, serial.num_exclude) << threads;
+      EXPECT_EQ(parallel.num_half, serial.num_half) << threads;
+    }
+  }
+}
+
+TEST(ParallelDominance, NearLinearEndToEndAcrossThreadCounts) {
+  const Graph g = ChungLuPowerLaw(10000, 2.5, 8.0, 29);
+  MisSolution serial;
+  {
+    ScopedThreads pin("1");
+    serial = RunNearLinear(g);
+  }
+  for (const char* threads : {"2", "8"}) {
+    ScopedThreads pin(threads);
+    const MisSolution parallel = RunNearLinear(g);
+    EXPECT_EQ(parallel.in_set, serial.in_set) << threads;
+    EXPECT_EQ(parallel.rules.one_pass_dominance,
+              serial.rules.one_pass_dominance)
+        << threads;
+    EXPECT_EQ(parallel.rules.lp, serial.rules.lp) << threads;
   }
 }
 

@@ -172,29 +172,6 @@ TEST(CounterGoldensTest, CliqueFiveVertices) {
   }
 }
 
-TEST(CounterGoldensTest, NoCompactionsOnTinyGraphs) {
-  // The compaction policy must never trigger on graphs this small — a
-  // rebuild on a 10-vertex instance would be pure overhead.
-  const Graph fixtures[] = {Path(10), Cycle(7), Clique(5)};
-  for (const Graph& g : fixtures) {
-    for (const auto& solve :
-         {std::function<MisSolution(const Graph&)>(
-              [](const Graph& g) { return RunBDOne(g); }),
-          std::function<MisSolution(const Graph&)>(
-              [](const Graph& g) { return RunBDTwo(g); }),
-          std::function<MisSolution(const Graph&)>(
-              [](const Graph& g) { return RunLinearTime(g); }),
-          std::function<MisSolution(const Graph&)>(
-              [](const Graph& g) { return RunNearLinear(g); })}) {
-      MisSolution sol = solve(g);
-      EXPECT_EQ(sol.compaction.compactions, 0u);
-      obs::MetricsRegistry reg;
-      PublishSolutionMetrics(sol, &reg);
-      EXPECT_EQ(reg.Counter("compaction.rebuilds"), 0u);
-    }
-  }
-}
-
 TEST(TraceTest, SolverTraceIsWellFormed) {
 #ifdef RPMIS_NO_OBS
   GTEST_SKIP() << "solver hooks compiled out";

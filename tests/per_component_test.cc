@@ -15,31 +15,12 @@
 #include "mis/near_linear.h"
 #include "mis/verify.h"
 #include "support/timer.h"
+#include "test_util.h"
 
 namespace rpmis {
 namespace {
 
-// Pins RPMIS_THREADS for a scope and restores the previous value.
-class ScopedThreads {
- public:
-  explicit ScopedThreads(const char* value) {
-    const char* old = std::getenv("RPMIS_THREADS");
-    if (old != nullptr) saved_ = old;
-    had_value_ = old != nullptr;
-    setenv("RPMIS_THREADS", value, 1);
-  }
-  ~ScopedThreads() {
-    if (had_value_) {
-      setenv("RPMIS_THREADS", saved_.c_str(), 1);
-    } else {
-      unsetenv("RPMIS_THREADS");
-    }
-  }
-
- private:
-  std::string saved_;
-  bool had_value_ = false;
-};
+using ::rpmis::testing::ScopedThreads;
 
 void ExpectIdenticalSolutions(const MisSolution& a, const MisSolution& b) {
   EXPECT_EQ(a.in_set, b.in_set);

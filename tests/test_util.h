@@ -6,6 +6,7 @@
 #ifndef RPMIS_TESTS_TEST_UTIL_H_
 #define RPMIS_TESTS_TEST_UTIL_H_
 
+#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -100,6 +101,28 @@ inline std::vector<std::pair<std::string, Graph>> DifferentialGraphs() {
   graphs.emplace_back("plcore", PowerLawWithCore(4000, 2.5, 6.0, 100, 20.0, 17));
   return graphs;
 }
+
+/// Pins RPMIS_THREADS for a scope and restores the previous value.
+class ScopedThreads {
+ public:
+  explicit ScopedThreads(const char* value) {
+    const char* old = std::getenv("RPMIS_THREADS");
+    if (old != nullptr) saved_ = old;
+    had_value_ = old != nullptr;
+    setenv("RPMIS_THREADS", value, 1);
+  }
+  ~ScopedThreads() {
+    if (had_value_) {
+      setenv("RPMIS_THREADS", saved_.c_str(), 1);
+    } else {
+      unsetenv("RPMIS_THREADS");
+    }
+  }
+
+ private:
+  std::string saved_;
+  bool had_value_ = false;
+};
 
 }  // namespace rpmis::testing
 
