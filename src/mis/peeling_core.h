@@ -21,9 +21,9 @@
 // The core walks a CSR. Without the path rule it reads the input CSR in
 // place. The path rule REWIRES adjacency slots (cases 3 and 5), so the
 // core then works on a private copy of the neighbour array (LinearTime) or
-// on a CSR it owns outright (NearLinear's kernel). Rewiring overwrites existing slots in both
-// directions, so the CSR never grows; deleted endpoints are skipped via
-// the alive flags, never physically removed.
+// on a CSR it owns outright (NearLinear's kernel). Rewiring overwrites
+// existing slots in both directions, so the CSR never grows; deleted
+// endpoints are skipped via the alive flags, never physically removed.
 //
 // Path and cycle cases of Lemma 4.1, for the maximal degree-two path
 // v_1..v_l attached to v and w:

@@ -103,13 +103,10 @@ struct MisSolution {
 /// Algorithm 1 and also how temporarily peeled vertices re-enter I.
 uint64_t ExtendToMaximal(const Graph& g, std::vector<uint8_t>& in_set);
 
-/// The tail shared by the Reducing-Peeling solvers: recounts `size` from
-/// `in_set`, sets `peeled` = rules.peels, counts the residual |R| = F \ I
-/// (`peeled_flags` marks F in input ids) and certifies the set maximum iff
-/// R is empty (Theorem 6.1).
-void CertifySolution(std::span<const uint8_t> peeled_flags, MisSolution* sol);
-
-/// ExtendToMaximal(g, sol->in_set), then CertifySolution.
+/// The tail shared by the Reducing-Peeling solvers: ExtendToMaximal(g,
+/// sol->in_set), then recounts `size`, sets `peeled` = rules.peels, counts
+/// the residual |R| = F \ I (`peeled_flags` marks F in input ids) and
+/// certifies the set maximum iff R is empty (Theorem 6.1).
 void FinalizeSolution(const Graph& g, std::span<const uint8_t> peeled_flags,
                       MisSolution* sol);
 
