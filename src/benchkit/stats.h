@@ -19,8 +19,9 @@ std::string FormatSolverStats(const MisSolution& sol);
 /// figures — into `metrics` under the dotted-name convention
 /// ("rules.degree_one", "kernel.vertices", "solution.size"). This is the
 /// registry-side twin of FormatSolverStats: run records carry the
-/// snapshot instead of knowing the structs' fields. Counters Add (accumulate over repeated runs);
-/// per-solution scalars are gauges (last run wins).
+/// snapshot instead of knowing the structs' fields. Counters Add
+/// (accumulate over repeated runs); per-solution scalars are gauges (last
+/// run wins).
 void PublishSolutionMetrics(const MisSolution& sol,
                             obs::MetricsRegistry* metrics);
 

@@ -373,22 +373,23 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
   // alive vertices with deg > 0 are exactly those with an edge left. With
   // LP on, the assembly is timed inside the LP prepass span, so the direct
   // child spans of `nearlinear` still tile the whole solve.
-  std::optional<obs::TraceSpan> lp_span;
-  if (options.lp_reduction) lp_span.emplace(obs::Trace(), "nearlinear.prepass.lp");
   KernelCsr kernel;
-  {
-    obs::TraceSpan span(obs::Trace(), "nearlinear.kernel_csr");
-    std::vector<uint8_t> keep(n);
-    for (Vertex v = 0; v < n; ++v) keep[v] = alive[v] && deg[v] > 0;
-    kernel = InducedCsr(g.RawOffsets(), g.RawNeighbors(), keep);
-  }
-  // Prepass 2: Nemhauser–Trotter persistency on the alive subgraph.
   LpReduction lp;
-  if (options.lp_reduction) {
-    lp = SolveLpReduction(kernel.offsets, kernel.adj);
-    sol.rules.lp = lp.num_include + lp.num_exclude;
+  {
+    obs::TraceSpan lp_span(options.lp_reduction ? obs::Trace() : nullptr,
+                           "nearlinear.prepass.lp");
+    {
+      obs::TraceSpan span(obs::Trace(), "nearlinear.kernel_csr");
+      std::vector<uint8_t> keep(n);
+      for (Vertex v = 0; v < n; ++v) keep[v] = alive[v] && deg[v] > 0;
+      kernel = InducedCsr(g.RawOffsets(), g.RawNeighbors(), keep);
+    }
+    // Prepass 2: Nemhauser–Trotter persistency on the alive subgraph.
+    if (options.lp_reduction) {
+      lp = SolveLpReduction(kernel.offsets, kernel.adj);
+      sol.rules.lp = lp.num_include + lp.num_exclude;
+    }
   }
-  lp_span.reset();
 
   // The kernel build span also covers the core's reverse index and
   // triangle counts, which its constructor computes.
