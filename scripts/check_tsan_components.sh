@@ -2,8 +2,7 @@
 # ThreadSanitizer gate for the component-parallel solve path: builds a
 # dedicated tree with RPMIS_SANITIZE=thread and runs the suites that
 # exercise cross-thread code (the parallel component scheduler, the
-# chunked edge-list scan, the parallel Hopcroft–Karp BFS of the LP
-# prepass, and the benchkit measurement plumbing)
+# chunked edge-list scan, and the benchkit measurement plumbing)
 # with RPMIS_THREADS=8 so the scheduler genuinely runs multi-threaded
 # under the race detector. Companion to
 # scripts/check_sanitize.sh (ASan/UBSan over the full suite).

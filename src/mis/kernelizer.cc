@@ -323,6 +323,7 @@ bool Kernelizer::RunLpPass() {
                    [&](Vertex w) { return ren.to_new[w]; });
   }
   const LpReduction lp = SolveLpReduction(offsets, adj);
+  AddLpPhaseMetrics(lp);
   if (lp.num_include == 0 && lp.num_exclude == 0) return false;
   rules_.lp += lp.num_include + lp.num_exclude;
   // Excluding all x=0 vertices isolates the x=1 vertices, which then join

@@ -1,10 +1,11 @@
 #include "mis/lp_reduction.h"
 
-#include <algorithm>
-#include <atomic>
 #include <limits>
+#include <utility>
 
-#include "support/parallel.h"
+#include "obs/metrics.h"
+#include "obs/obs.h"
+#include "support/assert.h"
 
 namespace rpmis {
 
@@ -12,40 +13,134 @@ namespace {
 
 constexpr uint32_t kInf = std::numeric_limits<uint32_t>::max();
 
-}  // namespace
+// One frame of an explicit DFS stack: a left vertex and a cursor into its
+// slice. While a frame has a child above it, its cursor names the edge the
+// search took down to that child.
+struct Frame {
+  Vertex l;
+  uint32_t k;
+};
 
-uint64_t HopcroftKarpMatching(Vertex right, std::span<const uint64_t> offsets,
-                              std::span<const Vertex> targets,
-                              std::vector<Vertex>* match_left,
-                              std::vector<Vertex>* match_right) {
+struct Matching {
+  std::vector<Vertex> ml, mr;
+  uint64_t size = 0;
+  uint64_t lookahead_phases = 0;
+  uint64_t hk_phases = 0;
+};
+
+Matching Match(Vertex right, std::span<const uint64_t> offsets,
+               std::span<const Vertex> targets) {
   const Vertex left = static_cast<Vertex>(offsets.size() - 1);
-  std::vector<Vertex> ml(left, kInvalidVertex);
-  std::vector<Vertex> mr(right, kInvalidVertex);
-  std::vector<uint32_t> dist(left);
-  std::vector<Vertex> bfs_queue;
-  bfs_queue.reserve(left);
-  uint64_t matching = 0;
+  Matching m;
+  std::vector<Vertex>& ml = m.ml;
+  std::vector<Vertex>& mr = m.mr;
+  ml.assign(left, kInvalidVertex);
+  mr.assign(right, kInvalidVertex);
 
-  // Greedy warm start roughly halves the number of phases in practice.
+  // Greedy warm start; the free left vertices with an edge it leaves are
+  // the lookahead roots.
+  uint64_t free_roots = 0;
   for (Vertex l = 0; l < left; ++l) {
     for (uint64_t e = offsets[l]; e < offsets[l + 1]; ++e) {
       const Vertex r = targets[e];
       if (mr[r] == kInvalidVertex) {
         ml[l] = r;
         mr[r] = l;
-        ++matching;
+        ++m.size;
         break;
       }
     }
+    free_roots += ml[l] == kInvalidVertex && offsets[l] < offsets[l + 1];
   }
 
-  // Layered BFS from free left vertices; true iff an augmenting path exists.
-  // Only the level structure dist[] matters downstream (the augmenting DFS
-  // is a separate, strictly in-order pass), and BFS distances are canonical
-  // regardless of the order vertices inside one level are expanded. That
-  // makes the level-synchronous parallel variant below byte-identical to
-  // this serial loop.
-  auto bfs_serial = [&]() {
+  // The slot a frame's cursor names, scanning l's slice forward or
+  // backward.
+  auto slot = [&](const Frame& f, bool forward) {
+    return forward ? offsets[f.l] + f.k : offsets[f.l + 1] - 1 - f.k;
+  };
+  // The top frame's vertex takes the free right vertex r; every frame
+  // below it takes the edge its cursor names.
+  std::vector<Frame> stack;
+  auto augment = [&](Vertex r, bool forward) {
+    ml[stack.back().l] = r;
+    mr[r] = stack.back().l;
+    for (size_t i = 0; i + 1 < stack.size(); ++i) {
+      const Vertex ri = targets[slot(stack[i], forward)];
+      ml[stack[i].l] = ri;
+      mr[ri] = stack[i].l;
+    }
+  };
+
+  // Pothen–Fan+ phases. lookahead[l] only ever skips matched right
+  // vertices, which never become free again, so it persists across phases.
+  std::vector<uint32_t> lookahead(left, 0);
+  std::vector<uint32_t> visited(right, 0);  // phase stamp
+  while (free_roots > 0) {
+    const uint32_t phase = static_cast<uint32_t>(++m.lookahead_phases);
+    const bool forward = phase % 2 == 1;
+    uint64_t augmented = 0;
+    // A root is matched only by its own search, so this visits exactly the
+    // roots free when the phase began.
+    for (Vertex root = 0; root < left; ++root) {
+      if (ml[root] != kInvalidVertex || offsets[root] == offsets[root + 1]) {
+        continue;
+      }
+      stack.assign(1, {root, 0});
+      bool entered = true;  // the top frame still owes its lookahead
+      while (!stack.empty()) {
+        Frame& f = stack.back();
+        const uint32_t deg =
+            static_cast<uint32_t>(offsets[f.l + 1] - offsets[f.l]);
+        if (entered) {
+          entered = false;
+          uint32_t& la = lookahead[f.l];
+          while (la < deg && mr[targets[offsets[f.l] + la]] != kInvalidVertex) {
+            ++la;
+          }
+          if (la < deg) {
+            // Stamping the new mate keeps every left vertex to one entry
+            // per phase.
+            const Vertex r = targets[offsets[f.l] + la];
+            visited[r] = phase;
+            augment(r, forward);
+            ++augmented;
+            break;
+          }
+        }
+        while (f.k < deg && visited[targets[slot(f, forward)]] == phase) ++f.k;
+        if (f.k == deg) {
+          stack.pop_back();
+          if (!stack.empty()) ++stack.back().k;
+          continue;
+        }
+        // The lookahead found no free neighbour, so r is matched.
+        const Vertex r = targets[slot(f, forward)];
+        visited[r] = phase;
+        RPMIS_DASSERT(mr[r] != kInvalidVertex);
+        stack.push_back({mr[r], 0});
+        entered = true;
+      }
+    }
+    // A phase without an augmenting path has searched everything the
+    // free left vertices reach: the matching is maximum.
+    if (augmented == 0) return m;
+    m.size += augmented;
+    if (2 * augmented < free_roots) break;  // hand over
+    free_roots -= augmented;
+  }
+  if (free_roots == 0) return m;
+
+  // Hopcroft–Karp from the current matching. The lookahead scratch goes
+  // first, so the per-vertex scratch never exceeds ml, mr, dist and queue.
+  std::vector<uint32_t>().swap(lookahead);
+  std::vector<uint32_t>().swap(visited);
+  std::vector<uint32_t> dist(left);
+  std::vector<Vertex> bfs_queue;
+  bfs_queue.reserve(left);
+
+  // Layered BFS from free left vertices; true iff an augmenting path
+  // exists.
+  auto bfs = [&]() {
     bfs_queue.clear();
     for (Vertex l = 0; l < left; ++l) {
       if (ml[l] == kInvalidVertex) {
@@ -59,8 +154,7 @@ uint64_t HopcroftKarpMatching(Vertex right, std::span<const uint64_t> offsets,
     for (size_t head = 0; head < bfs_queue.size(); ++head) {
       const Vertex l = bfs_queue[head];
       for (uint64_t e = offsets[l]; e < offsets[l + 1]; ++e) {
-        const Vertex r = targets[e];
-        const Vertex l2 = mr[r];
+        const Vertex l2 = mr[targets[e]];
         if (l2 == kInvalidVertex) {
           found = true;
         } else if (dist[l2] == kInf) {
@@ -72,90 +166,56 @@ uint64_t HopcroftKarpMatching(Vertex right, std::span<const uint64_t> offsets,
     return found;
   };
 
-  // Level-synchronous parallel BFS. Each level's frontier is expanded by
-  // all threads; a vertex is claimed for the next level with a CAS on its
-  // dist entry, so exactly one thread enqueues it. Which thread wins is
-  // scheduling-dependent, but the claimed VALUE (level + 1) and therefore
-  // the resulting dist[] array — the only BFS output the matching reads —
-  // are identical to the serial pass.
-  std::vector<std::vector<Vertex>> next_local;
-  auto bfs_parallel = [&](size_t threads) {
-    bfs_queue.clear();
-    for (Vertex l = 0; l < left; ++l) {
-      if (ml[l] == kInvalidVertex) {
-        dist[l] = 0;
-        bfs_queue.push_back(l);
-      } else {
-        dist[l] = kInf;
-      }
-    }
-    next_local.assign(threads, {});
-    std::vector<Vertex> frontier = bfs_queue;
-    std::atomic<bool> found{false};
-    uint32_t level = 0;
-    while (!frontier.empty()) {
-      const size_t chunk = (frontier.size() + threads - 1) / threads;
-      RunParallel(threads, [&](size_t t) {
-        std::vector<Vertex>& next = next_local[t];
-        next.clear();
-        const size_t lo = t * chunk;
-        const size_t hi = std::min(frontier.size(), lo + chunk);
-        for (size_t i = lo; i < hi; ++i) {
-          const Vertex l = frontier[i];
-          for (uint64_t e = offsets[l]; e < offsets[l + 1]; ++e) {
-            const Vertex r = targets[e];
-            const Vertex l2 = mr[r];
-            if (l2 == kInvalidVertex) {
-              found.store(true, std::memory_order_relaxed);
-            } else {
-              uint32_t expect = kInf;
-              if (std::atomic_ref<uint32_t>(dist[l2]).compare_exchange_strong(
-                      expect, level + 1, std::memory_order_relaxed)) {
-                next.push_back(l2);
-              }
-            }
-          }
+  // DFS along the layer structure, augmenting on success; a vertex that
+  // fails is cut from the layers for the rest of the phase.
+  auto dfs = [&](Vertex root) {
+    stack.assign(1, {root, 0});
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      const uint32_t deg = static_cast<uint32_t>(offsets[f.l + 1] - offsets[f.l]);
+      Vertex next = kInvalidVertex;
+      for (; f.k < deg; ++f.k) {
+        const Vertex r = targets[slot(f, /*forward=*/true)];
+        const Vertex l2 = mr[r];
+        if (l2 == kInvalidVertex) {
+          augment(r, /*forward=*/true);
+          return true;
         }
-      });
-      frontier.clear();
-      for (std::vector<Vertex>& local : next_local) {
-        frontier.insert(frontier.end(), local.begin(), local.end());
+        if (dist[l2] == dist[f.l] + 1) {
+          next = l2;
+          break;
+        }
       }
-      ++level;
-    }
-    return found.load(std::memory_order_relaxed);
-  };
-
-  auto bfs = [&]() {
-    const size_t threads = NumThreads();
-    if (threads > 1 && left >= 2048) return bfs_parallel(threads);
-    return bfs_serial();
-  };
-
-  // DFS along the layer structure, augmenting on success.
-  auto dfs = [&](auto&& self, Vertex l) -> bool {
-    for (uint64_t e = offsets[l]; e < offsets[l + 1]; ++e) {
-      const Vertex r = targets[e];
-      const Vertex l2 = mr[r];
-      if (l2 == kInvalidVertex || (dist[l2] == dist[l] + 1 && self(self, l2))) {
-        ml[l] = r;
-        mr[r] = l;
-        return true;
+      if (next != kInvalidVertex) {
+        stack.push_back({next, 0});
+        continue;
       }
+      dist[f.l] = kInf;
+      stack.pop_back();
+      if (!stack.empty()) ++stack.back().k;
     }
-    dist[l] = kInf;
     return false;
   };
 
   while (bfs()) {
+    ++m.hk_phases;
     for (Vertex l = 0; l < left; ++l) {
-      if (ml[l] == kInvalidVertex && dfs(dfs, l)) ++matching;
+      if (ml[l] == kInvalidVertex && dfs(l)) ++m.size;
     }
   }
+  return m;
+}
 
-  if (match_left != nullptr) *match_left = std::move(ml);
-  if (match_right != nullptr) *match_right = std::move(mr);
-  return matching;
+}  // namespace
+
+uint64_t MaximumMatching(Vertex right, std::span<const uint64_t> offsets,
+                         std::span<const Vertex> targets,
+                         std::vector<Vertex>* match_left,
+                         std::vector<Vertex>* match_right) {
+  Matching m = Match(right, offsets, targets);
+  if (match_left != nullptr) *match_left = std::move(m.ml);
+  if (match_right != nullptr) *match_right = std::move(m.mr);
+  return m.size;
 }
 
 LpReduction SolveLpReduction(std::span<const uint64_t> offsets,
@@ -163,9 +223,13 @@ LpReduction SolveLpReduction(std::span<const uint64_t> offsets,
   // The double cover's left CSR is the graph's own: v_L is joined to u_R
   // for every slot (v, u).
   const Vertex n = static_cast<Vertex>(offsets.size() - 1);
-  std::vector<Vertex> ml, mr;
+  Matching m = Match(n, offsets, adj);
+  const std::vector<Vertex>& ml = m.ml;
+  const std::vector<Vertex>& mr = m.mr;
   LpReduction out;
-  out.matching = HopcroftKarpMatching(n, offsets, adj, &ml, &mr);
+  out.matching = m.size;
+  out.lookahead_phases = m.lookahead_phases;
+  out.hk_phases = m.hk_phases;
 
   // König: Z = vertices alternately reachable from free LEFT vertices
   // (non-matching edge to the right, matching edge back to the left).
@@ -214,6 +278,13 @@ LpReduction SolveLpReduction(std::span<const uint64_t> offsets,
 
 LpReduction SolveLpReduction(const Graph& g) {
   return SolveLpReduction(g.RawOffsets(), g.RawNeighbors());
+}
+
+void AddLpPhaseMetrics(const LpReduction& lp) {
+  if (obs::MetricsRegistry* metrics = obs::Metrics()) {
+    metrics->Add("lp.lookahead_phases", lp.lookahead_phases);
+    metrics->Add("lp.hk_phases", lp.hk_phases);
+  }
 }
 
 }  // namespace rpmis

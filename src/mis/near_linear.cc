@@ -387,6 +387,7 @@ MisSolution RunNearLinear(const Graph& g, KernelSnapshot* capture,
     // Prepass 2: Nemhauser–Trotter persistency on the alive subgraph.
     if (options.lp_reduction) {
       lp = SolveLpReduction(kernel.offsets, kernel.adj);
+      AddLpPhaseMetrics(lp);
       sol.rules.lp = lp.num_include + lp.num_exclude;
     }
   }

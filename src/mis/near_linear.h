@@ -10,8 +10,9 @@
 //   1. one-pass dominance in decreasing-degree order, O(m·a(G)), one
 //      serial pass (a block-parallel screen lost on power-law graphs,
 //      DESIGN.md §7);
-//   2. the Nemhauser–Trotter LP reduction, O(m√n), whose Hopcroft–Karp
-//      BFS runs on RPMIS_THREADS threads.
+//   2. the Nemhauser–Trotter LP reduction, O(m√n), one serial pass
+//      (lookahead matching phases, then Hopcroft–Karp if they stall;
+//      lp_reduction.h); its parallel BFS did not pay (DESIGN.md §7).
 // Both are exact and both can be disabled for ablation. The alive subgraph
 // left by the first is assembled once as a CSR; the LP runs on it and the
 // main loop takes it over (DESIGN.md §3).

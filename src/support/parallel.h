@@ -1,13 +1,13 @@
 // Minimal std::thread fan-out used by the chunked edge-list scan, the
-// binary reader's CSR validation, the Hopcroft–Karp BFS of the LP
-// reduction and the per-component scheduler. The CSR build and the
-// dominance prepass are serial: their parallel versions were slower at 4
-// threads on power-law graphs (DESIGN.md §5 and §7).
+// binary reader's CSR validation and the per-component scheduler. The CSR
+// build, the dominance prepass and the LP matcher are serial: their
+// parallel versions did not pay at 4 threads on power-law graphs
+// (DESIGN.md §5 and §7).
 //
 // There is deliberately no persistent thread pool: the helpers here wrap
 // coarse, hundreds-of-milliseconds tasks (parsing a multi-megabyte file,
-// one BFS level over millions of vertices), so the cost of spawning a handful
-// of threads per call is noise, and the library stays free of global
+// solving a batch of components), so the cost of spawning a handful of
+// threads per call is noise, and the library stays free of global
 // mutable state. Thread count comes from the RPMIS_THREADS environment
 // variable when set, so benchmark runs and the serial-vs-parallel
 // equivalence tests can pin it without code changes.

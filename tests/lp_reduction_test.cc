@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "exact/brute_force.h"
 #include "graph/generators.h"
 #include "mis/near_linear.h"
+#include "mis/upper_bounds.h"
 #include "mis/verify.h"
+#include "support/random.h"
 #include "test_util.h"
 
 namespace rpmis {
@@ -13,32 +18,61 @@ namespace {
 
 using ::rpmis::testing::ScopedThreads;
 
-TEST(HopcroftKarpTest, PerfectMatchingOnBipartite) {
+TEST(MaximumMatchingTest, PerfectMatchingOnBipartite) {
   // K_{3,3}: matching 3.
   const std::vector<uint64_t> offsets{0, 3, 6, 9};
   const std::vector<Vertex> targets{0, 1, 2, 0, 1, 2, 0, 1, 2};
-  EXPECT_EQ(HopcroftKarpMatching(3, offsets, targets), 3u);
+  EXPECT_EQ(MaximumMatching(3, offsets, targets), 3u);
 }
 
-TEST(HopcroftKarpTest, AugmentingPathNeeded) {
+TEST(MaximumMatchingTest, AugmentingPathNeeded) {
   // Greedy alone can mis-match this: L0-{R0}, L1-{R0,R1}.
   const std::vector<uint64_t> offsets{0, 1, 3};
   const std::vector<Vertex> targets{0, 0, 1};
   std::vector<Vertex> ml, mr;
-  EXPECT_EQ(HopcroftKarpMatching(2, offsets, targets, &ml, &mr), 2u);
+  EXPECT_EQ(MaximumMatching(2, offsets, targets, &ml, &mr), 2u);
   EXPECT_EQ(ml[0], 0u);
   EXPECT_EQ(ml[1], 1u);
 }
 
-TEST(HopcroftKarpTest, MatchingIsConsistent) {
+TEST(MaximumMatchingTest, MatchingIsConsistent) {
   // A graph's CSR read as the left side of its bipartite double cover.
   Graph g = ErdosRenyiGnm(40, 80, /*seed=*/17);
   std::vector<Vertex> ml, mr;
-  HopcroftKarpMatching(40, g.RawOffsets(), g.RawNeighbors(), &ml, &mr);
+  MaximumMatching(40, g.RawOffsets(), g.RawNeighbors(), &ml, &mr);
   for (Vertex l = 0; l < 40; ++l) {
     if (ml[l] != kInvalidVertex) {
       EXPECT_EQ(mr[ml[l]], l);
     }
+  }
+}
+
+// Kuhn's augmenting-path matching: one DFS per left vertex, O(n·m).
+uint64_t KuhnMatching(const Graph& g) {
+  const Vertex n = g.NumVertices();
+  std::vector<Vertex> mr(n, kInvalidVertex);
+  std::vector<Vertex> seen(n, kInvalidVertex);  // left root of the last visit
+  auto augment = [&](auto&& self, Vertex l, Vertex root) -> bool {
+    for (Vertex r : g.Neighbors(l)) {
+      if (seen[r] == root) continue;
+      seen[r] = root;
+      if (mr[r] == kInvalidVertex || self(self, mr[r], root)) {
+        mr[r] = l;
+        return true;
+      }
+    }
+    return false;
+  };
+  uint64_t size = 0;
+  for (Vertex l = 0; l < n; ++l) size += augment(augment, l, l);
+  return size;
+}
+
+TEST(MaximumMatchingTest, MatchesKuhnReference) {
+  for (const auto& [name, g] : ::rpmis::testing::DifferentialGraphs()) {
+    EXPECT_EQ(MaximumMatching(g.NumVertices(), g.RawOffsets(), g.RawNeighbors()),
+              KuhnMatching(g))
+        << name;
   }
 }
 
@@ -126,7 +160,7 @@ TEST(LpReductionTest, SolutionMeetsMatchingBound) {
     EXPECT_EQ(2 * lp.num_include + lp.num_half, 2 * uint64_t{n} - lp.matching);
 
     std::vector<Vertex> ml, mr;
-    EXPECT_EQ(HopcroftKarpMatching(n, g.RawOffsets(), g.RawNeighbors(), &ml, &mr),
+    EXPECT_EQ(MaximumMatching(n, g.RawOffsets(), g.RawNeighbors(), &ml, &mr),
               lp.matching);
     uint64_t matched = 0;
     for (Vertex l = 0; l < n; ++l) {
@@ -139,13 +173,107 @@ TEST(LpReductionTest, SolutionMeetsMatchingBound) {
   }
 }
 
-// The LP prepass (its parallel Hopcroft–Karp BFS), and NearLinear end to
-// end through it, must be byte-identical at any thread count.
+// A path whose greedy matching leaves augmenting paths about n long:
+// v_0 is labelled n-1 and v_i is labelled i-1, so greedy pairs 2k with
+// 2k+1 and leaves n-2 and n-1 free at the far ends. A recursive search
+// would need a call frame per path vertex.
+TEST(LpReductionTest, DeepAugmentingPathNoRecursion) {
+  const Vertex n = 4'000'000;
+  std::vector<Edge> edges;
+  edges.reserve(n - 1);
+  edges.emplace_back(n - 1, Vertex{0});
+  for (Vertex i = 0; i + 2 < n; ++i) edges.emplace_back(i, i + 1);
+  const Graph g = Graph::FromEdges(n, edges);
+
+  const LpReduction lp = SolveLpReduction(g);
+  EXPECT_EQ(lp.matching, n);
+  EXPECT_EQ(lp.num_half, n);
+  EXPECT_EQ(LpUpperBound(g), n / 2);
+
+  NearLinearOptions options;
+  options.one_pass_dominance = false;
+  const MisSolution sol = RunNearLinear(g, nullptr, options);
+  EXPECT_TRUE(IsIndependentSet(g, sol.in_set));
+  EXPECT_EQ(sol.size, n / 2);
+}
+
+// The LP classification is canonical, so relabelling the graph must only
+// relabel include/exclude. Each graph takes one matcher path, checked on
+// the phase counts of the original labelling.
+Graph Relabelled(const Graph& g, const std::vector<Vertex>& to) {
+  std::vector<Edge> edges;
+  for (Vertex v = 0; v < g.NumVertices(); ++v) {
+    for (Vertex w : g.Neighbors(v)) {
+      if (v < w) edges.emplace_back(to[v], to[w]);
+    }
+  }
+  return Graph::FromEdges(g.NumVertices(), edges);
+}
+
+Graph StarForest(Vertex stars, Vertex leaves) {
+  std::vector<Edge> edges;
+  for (Vertex s = 0; s < stars; ++s) {
+    const Vertex centre = s * (leaves + 1);
+    for (Vertex i = 1; i <= leaves; ++i) edges.emplace_back(centre, centre + i);
+  }
+  return Graph::FromEdges(stars * (leaves + 1), edges);
+}
+
+TEST(LpReductionTest, CanonicalUnderRelabelling) {
+  enum class Path { kLookaheadOnly, kHandOver, kNoAugmentingPhase };
+  struct Case {
+    const char* name;
+    Graph g;
+    Path path;
+  };
+  const Case cases[] = {
+      {"chung-lu-3.5", ChungLuPowerLaw(20000, 3.5, 20.0, 3), Path::kLookaheadOnly},
+      {"gnm-d3", ErdosRenyiGnm(20000, 30000, 1), Path::kHandOver},
+      {"chung-lu-2.5", ChungLuPowerLaw(40000, 2.5, 12.0, 1), Path::kHandOver},
+      {"star-forest", StarForest(50, 6), Path::kNoAugmentingPhase},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Vertex n = c.g.NumVertices();
+    const LpReduction lp = SolveLpReduction(c.g);
+    switch (c.path) {
+      case Path::kLookaheadOnly:
+        EXPECT_EQ(lp.matching, n);
+        EXPECT_GT(lp.lookahead_phases, 0u);
+        EXPECT_EQ(lp.hk_phases, 0u);
+        break;
+      case Path::kHandOver:
+        EXPECT_GT(lp.lookahead_phases, 0u);
+        EXPECT_GT(lp.hk_phases, 0u);
+        break;
+      case Path::kNoAugmentingPhase:
+        EXPECT_EQ(lp.lookahead_phases, 1u);
+        EXPECT_EQ(lp.hk_phases, 0u);
+        break;
+    }
+    for (uint64_t seed : {1, 2}) {
+      std::vector<Vertex> to(n);
+      std::iota(to.begin(), to.end(), Vertex{0});
+      Rng rng(seed);
+      std::shuffle(to.begin(), to.end(), rng);
+      const LpReduction relabelled = SolveLpReduction(Relabelled(c.g, to));
+      EXPECT_EQ(relabelled.matching, lp.matching);
+      EXPECT_EQ(relabelled.num_include, lp.num_include);
+      EXPECT_EQ(relabelled.num_exclude, lp.num_exclude);
+      for (Vertex v = 0; v < n; ++v) {
+        ASSERT_EQ(relabelled.include[to[v]], lp.include[v]) << v;
+        ASSERT_EQ(relabelled.exclude[to[v]], lp.exclude[v]) << v;
+      }
+    }
+  }
+}
+
+// The LP prepass and NearLinear end to end through it must be
+// byte-identical at any thread count.
 
 TEST(ParallelLpReduction, ByteIdenticalAcrossThreadCounts) {
-  // Parallel level-synchronous BFS inside Hopcroft–Karp must leave every
-  // LP-reduction output — matching size, include/exclude sets — identical
-  // to the serial pass (dist[] is canonical regardless of expansion order).
+  // The matcher is serial; every LP-reduction output — matching size,
+  // include/exclude sets — must still not depend on RPMIS_THREADS.
   const Graph graphs[] = {ErdosRenyiGnm(6000, 30000, 13),
                           ChungLuPowerLaw(8000, 2.5, 8.0, 15),
                           PowerLawWithCore(5000, 2.5, 6.0, 200, 20.0, 19)};

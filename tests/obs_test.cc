@@ -12,6 +12,7 @@
 #include "graph/graph.h"
 #include "mis/bdone.h"
 #include "mis/bdtwo.h"
+#include "mis/kernelizer.h"
 #include "mis/linear_time.h"
 #include "mis/near_linear.h"
 #include "mis/per_component.h"
@@ -170,6 +171,54 @@ TEST(CounterGoldensTest, CliqueFiveVertices) {
     EXPECT_EQ(reg.Counter("rules.peels"), 0u);
     EXPECT_EQ(reg.Gauge("solution.provably_maximum"), 1.0);
   }
+}
+
+// The LP matcher's phase counters, on one small graph per matcher path:
+// lookahead phases that leave no free vertex, a hand-over to
+// Hopcroft–Karp, and a phase that augments nothing (proving the greedy
+// matching maximum). NearLinear runs without its dominance prepass so the
+// LP sees the whole graph.
+TEST(CounterGoldensTest, LpMatcherPhases) {
+#ifdef RPMIS_NO_OBS
+  GTEST_SKIP() << "solver hooks compiled out";
+#endif
+  std::vector<Edge> star_edges;
+  for (Vertex c = 0; c < 15; c += 5) {
+    for (Vertex leaf = c + 1; leaf < c + 5; ++leaf) star_edges.emplace_back(c, leaf);
+  }
+  struct Row {
+    const char* name;
+    Graph g;
+    uint64_t lookahead_phases, hk_phases, lp_fixed;
+  };
+  const Row rows[] = {
+      {"chung-lu-3.5", ChungLuPowerLaw(200, 3.5, 8.0, 3), 2, 0, 0},
+      {"gnm-d3", ErdosRenyiGnm(60, 90, 8), 1, 1, 21},
+      {"star-forest", Graph::FromEdges(15, star_edges), 1, 0, 15},
+  };
+  NearLinearOptions options;
+  options.one_pass_dominance = false;
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.name);
+    obs::MetricsRegistry reg;
+    MisSolution sol;
+    {
+      obs::ScopedObservability scope(nullptr, &reg, nullptr);
+      sol = RunNearLinear(row.g, nullptr, options);
+    }
+    EXPECT_EQ(reg.Counter("lp.lookahead_phases"), row.lookahead_phases);
+    EXPECT_EQ(reg.Counter("lp.hk_phases"), row.hk_phases);
+    EXPECT_EQ(sol.rules.lp, row.lp_fixed);
+  }
+  // The kernelizer adds the counters of each of its LP passes.
+  const Graph g = ChungLuPowerLaw(200, 3.5, 8.0, 3);
+  obs::MetricsRegistry reg;
+  {
+    obs::ScopedObservability scope(nullptr, &reg, nullptr);
+    Kernelizer(g).Run();
+  }
+  EXPECT_EQ(reg.Counter("lp.lookahead_phases"), 1u);
+  EXPECT_EQ(reg.Counter("lp.hk_phases"), 0u);
 }
 
 TEST(TraceTest, SolverTraceIsWellFormed) {
